@@ -25,7 +25,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import run_workload
-from repro.cluster.topology import RackConfig, build_rack
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import PoissonArrivals
@@ -50,7 +50,7 @@ SUB_RATE_RPS = (
 def _run(jobs=None, fanout=1):
     streams = RandomStreams(SEED)
     sim = Simulator()
-    rack = build_rack(sim, streams, RackConfig(
+    rack = build_fabric(sim, streams, FabricConfig.rack(
         n_servers=N_SERVERS,
         cores_per_server=CORES_PER_SERVER,
         policy="shortest_wait",

@@ -21,8 +21,7 @@ Usage::
 
 from repro.analysis.tables import format_table
 from repro.api import run_workload
-from repro.cluster import RackConfig
-from repro.datacenter import DatacenterConfig, build_topology
+from repro.cluster import FabricConfig, build_fabric
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import DriftingMMPPArrivals, PoissonArrivals
@@ -55,11 +54,11 @@ def main() -> None:
     for policy in ("hash", "power_of_d", "shortest_wait"):
         sim = Simulator()
         streams = RandomStreams(3)
-        dc = build_topology(
+        dc = build_fabric(
             sim, streams,
-            DatacenterConfig(
+            FabricConfig.datacenter(
                 n_racks=n_racks,
-                rack=RackConfig(
+                rack=FabricConfig.rack(
                     n_servers=n_servers,
                     cores_per_server=cores_per_server,
                     system="altocumulus",

@@ -17,7 +17,7 @@ Usage::
 
 from repro.analysis.tables import format_table
 from repro.api import run_workload
-from repro.cluster import RackConfig, build_rack
+from repro.cluster import FabricConfig, build_fabric
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import PoissonArrivals
@@ -35,9 +35,9 @@ def main() -> None:
     for policy in ("hash", "round_robin", "power_of_d", "shortest_wait"):
         sim = Simulator()
         streams = RandomStreams(3)
-        rack = build_rack(
+        rack = build_fabric(
             sim, streams,
-            RackConfig(
+            FabricConfig.rack(
                 n_servers=n_servers,
                 cores_per_server=cores_per_server,
                 system="rss",

@@ -21,6 +21,7 @@ from repro.analysis.metrics import (
     summarize_latencies,
 )
 from repro.analysis.slo import violation_ratio
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.core.config import AltocumulusConfig
 from repro.control import ControlConfig, ControlLoop, active_control_config
 from repro.faults import FaultInjector, FaultPlan, RetryClient, active_fault_plan
@@ -145,35 +146,30 @@ def _register_defaults() -> None:
 
 
 def _default_rack(sim: Simulator, streams: RandomStreams, n_cores: int):
-    """The cluster tier behind the one-server API: ``n_cores`` total
+    """The rack preset behind the one-server API: ``n_cores`` total
     cores split over four Altocumulus servers (one server when the count
     doesn't divide), steered by power-of-two-choices.  Full control over
-    rack shape lives in :mod:`repro.cluster`."""
-    from repro.cluster.topology import RackConfig, build_rack
-
+    fabric shape lives in :mod:`repro.cluster`."""
     n_servers = 4 if n_cores % 4 == 0 and n_cores >= 8 else 1
-    config = RackConfig(
+    config = FabricConfig.rack(
         n_servers=n_servers,
         cores_per_server=n_cores // n_servers,
         system="altocumulus",
         policy="power_of_d",
         d=2,
     )
-    return build_rack(sim, streams, config)
+    return build_fabric(sim, streams, config)
 
 
-def _default_datacenter_config(n_cores: int):
-    """Fabric shape behind the one-server API: ``n_cores`` total cores
-    split over 2 racks x 2 Altocumulus servers (one rack of one server
-    when the count doesn't divide), with power-of-two steering inside
-    each rack and shortest-expected-wait steering across racks."""
-    from repro.cluster.topology import RackConfig
-    from repro.datacenter.topology import DatacenterConfig
-
+def _default_datacenter_config(n_cores: int) -> FabricConfig:
+    """Datacenter shape behind the one-server API: ``n_cores`` total
+    cores split over 2 racks x 2 Altocumulus servers (one rack of one
+    server when the count doesn't divide), with power-of-two steering
+    inside each rack and shortest-expected-wait steering across racks."""
     n_racks, n_servers = (2, 2) if n_cores % 4 == 0 and n_cores >= 8 else (1, 1)
-    return DatacenterConfig(
+    return FabricConfig.datacenter(
         n_racks=n_racks,
-        rack=RackConfig(
+        rack=FabricConfig.rack(
             n_servers=n_servers,
             cores_per_server=n_cores // (n_racks * n_servers),
             system="altocumulus",
@@ -185,11 +181,9 @@ def _default_datacenter_config(n_cores: int):
 
 
 def _default_datacenter(sim: Simulator, streams: RandomStreams, n_cores: int):
-    """The fabric tier behind the one-server API; full control over
-    fabric shape lives in :mod:`repro.datacenter`."""
-    from repro.datacenter.topology import build_topology
-
-    return build_topology(sim, streams, _default_datacenter_config(n_cores))
+    """The datacenter preset behind the one-server API; full control
+    over fabric shape lives in :mod:`repro.cluster`."""
+    return build_fabric(sim, streams, _default_datacenter_config(n_cores))
 
 
 def _default_ac_config(n_cores: int) -> AltocumulusConfig:

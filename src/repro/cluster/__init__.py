@@ -1,12 +1,13 @@
-"""The rack-scale cluster tier: many servers behind one ToR switch.
+"""The fabric tier: racks, datacenters and deeper, as one recursive node.
 
 Altocumulus schedules nanosecond-scale RPCs *within* one server; this
-package scales the reproduction to a rack of such servers fronted by a
-top-of-rack switch model and a pluggable inter-server steering layer
-(the RackSched/Rain design point).  A :class:`RackCluster` quacks like a
-single :class:`~repro.schedulers.base.RpcSystem`, so the whole existing
-stack -- :func:`repro.api.run_workload`, the sweep runner and its cache,
-the analysis layer -- drives a rack unchanged::
+package scales the reproduction out through switch models and pluggable
+steering (the RackSched/Rain design point).  A :class:`Fabric` is N
+members behind one switch and one steering policy; a rack is a fabric of
+servers and a datacenter a fabric of racks.  Fabrics quack like a single
+:class:`~repro.schedulers.base.RpcSystem`, so the whole existing stack
+-- :func:`repro.api.run_workload`, the sweep runner and its cache, the
+analysis layer -- drives them unchanged::
 
     from repro import quick_run
 
@@ -14,19 +15,19 @@ the analysis layer -- drives a rack unchanged::
 
 or, with full control::
 
-    from repro.cluster import RackConfig, build_rack
+    from repro.cluster import FabricConfig, build_fabric
 
-    rack = build_rack(sim, streams, RackConfig(
-        n_servers=8, cores_per_server=16, system="altocumulus",
-        policy="power_of_d", d=2, staleness_ns=5_000.0))
+    rack = FabricConfig.rack(n_servers=8, cores_per_server=16,
+                             policy="power_of_d", d=2, staleness_ns=5_000.0)
+    dc = build_fabric(sim, streams, FabricConfig.datacenter(n_racks=4,
+                                                            rack=rack))
 """
 
+from repro.cluster.fabric import Fabric, FabricConfig, build_fabric, tier_names
 from repro.cluster.metrics import (
-    cluster_summary,
+    fabric_summary,
     imbalance_index,
-    per_server_completed,
-    per_server_latency,
-    per_server_utilization,
+    per_member_completed,
 )
 from repro.cluster.policies import (
     POLICY_NAMES,
@@ -37,24 +38,22 @@ from repro.cluster.policies import (
     SteeringPolicy,
     make_policy,
 )
-from repro.cluster.switch import ToRSwitch
-from repro.cluster.topology import RackCluster, RackConfig, build_rack
+from repro.cluster.switch import SwitchCore
 
 __all__ = [
     "ConnectionHashSteering",
+    "Fabric",
+    "FabricConfig",
     "POLICY_NAMES",
     "PowerOfDSteering",
-    "RackCluster",
-    "RackConfig",
     "RoundRobinSteering",
     "ShortestExpectedWaitSteering",
     "SteeringPolicy",
-    "ToRSwitch",
-    "build_rack",
-    "cluster_summary",
+    "SwitchCore",
+    "build_fabric",
+    "fabric_summary",
     "imbalance_index",
     "make_policy",
-    "per_server_completed",
-    "per_server_latency",
-    "per_server_utilization",
+    "per_member_completed",
+    "tier_names",
 ]

@@ -1,39 +1,46 @@
-"""Cluster-wide measurement: aggregation, imbalance, steering counters.
+"""Fabric-wide measurement: imbalance, steering counters, tenant SLOs.
 
-The rack tier's evaluation questions are distributional -- how unevenly
-did load land across servers, where did the tail come from, what did
-steering decide -- so this module turns a finished
-:class:`~repro.cluster.topology.RackCluster` into small summaries:
+A fabric tier's evaluation questions are distributional -- how unevenly
+did load land across members, what did steering decide, which tenants
+kept their SLOs -- so this module turns a
+:class:`~repro.cluster.fabric.Fabric` of any depth into small summaries,
+named by the fabric's tier (``cluster.*``/``srv<i>``/``switch`` for a
+rack, ``datacenter.*``/``rack<i>``/``spine`` for a datacenter):
 
-* :func:`imbalance_index` -- max/mean of any per-server quantity (1.0 is
-  perfect balance; N is everything-on-one-server for an N-server rack).
-* :func:`per_server_latency` -- one :class:`LatencySummary` per server.
-* :func:`register_cluster_instruments` -- bind the same quantities into
-  the rack's :class:`~repro.telemetry.MetricRegistry` as live
-  ``cluster.*`` instruments.
-* :func:`cluster_summary` -- the flat ``dict`` the rack writes through
-  its ``stats.scoped("cluster")`` adapter at shutdown, so every sweep
-  point carries its cluster metrics through the runner cache for free.
+* :func:`imbalance_index` -- max/mean of any per-member quantity (1.0 is
+  perfect balance; N is everything-on-one-member for N members).
+* :func:`fabric_summary` -- the flat ``dict`` a fabric writes through its
+  ``stats.scoped(<namespace>)`` adapter at shutdown, so every sweep
+  point carries its fabric metrics through the runner cache for free.
   Pure counts stay ints; only genuinely fractional quantities are
   floats.
+* :func:`register_fabric_instruments` -- the same quantities as live
+  instruments in the fabric's :class:`~repro.telemetry.MetricRegistry`.
+* :class:`TenantSlo` -- live per-tenant SLO attainment, a completion
+  hook plus ``tenant.<name>.*`` instruments.
+
+Per-member detail needs no code here: a fabric attaches each member's
+registry as a child, so one snapshot already contains every level
+(``rack<i>.cluster.*``, ``rack<i>.srv<j>.*``).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Sequence, Union
 
-from repro.analysis.metrics import LatencySummary, summarize_latencies
+from repro.workload.tenants import TenantClass, TenantMix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.topology import RackCluster
+    from repro.cluster.fabric import Fabric
     from repro.telemetry import MetricRegistry
+    from repro.workload.request import Request
 
 
 def imbalance_index(counts: Sequence[float]) -> float:
-    """Max-over-mean of a per-server quantity.
+    """Max-over-mean of a per-member quantity.
 
-    1.0 means perfectly balanced; ``len(counts)`` means one server took
-    everything.  0.0 when the rack saw no traffic at all.
+    1.0 means perfectly balanced; ``len(counts)`` means one member took
+    everything.  0.0 when the fabric saw no traffic at all.
     """
     if not counts:
         return 0.0
@@ -44,88 +51,123 @@ def imbalance_index(counts: Sequence[float]) -> float:
     return max(counts) / mean
 
 
-def per_server_completed(rack: "RackCluster") -> List[int]:
-    """Completed-request count per server."""
-    return [server.stats.completed for server in rack.servers]
+def per_member_completed(fabric: "Fabric") -> List[int]:
+    """Completed-request count per member."""
+    return [member.stats.completed for member in fabric.members]
 
 
-def per_server_latency(rack: "RackCluster") -> List[LatencySummary]:
-    """Latency summary of each server's completed requests."""
-    return [
-        summarize_latencies(server.finished_requests)
-        for server in rack.servers
-    ]
+def fabric_summary(fabric: "Fabric") -> Dict[str, Union[int, float]]:
+    """Flat metrics a fabric writes via ``stats.scoped(<namespace>)``.
 
+    Keys (``<switch>`` and ``<member>`` are the tier's names):
 
-def per_server_utilization(rack: "RackCluster", elapsed_ns: float) -> List[float]:
-    """Mean core utilization per server over ``elapsed_ns``."""
-    return [server.utilization(elapsed_ns) for server in rack.servers]
-
-
-def cluster_summary(rack: "RackCluster") -> Dict[str, Union[int, float]]:
-    """Flat metrics the rack writes via ``stats.scoped("cluster")``.
-
-    Keys:
-
-    * ``imbalance_index`` -- max/mean of per-server completions.
+    * ``imbalance_index`` -- max/mean of per-member completions.
     * ``steer_imbalance`` -- max/mean of steering decisions (how uneven
       the *policy* was, before any queueing happened).
-    * ``steer_srv<i>`` -- requests steered to each server.
-    * ``switch_dropped`` / ``switch_queue_wait_ns`` -- ToR accounting.
+    * ``<switch>_dropped`` / ``<switch>_queue_wait_ns`` -- switch
+      accounting.
+    * ``steer_<member><i>`` -- requests steered to each member.
     * ``steer_refreshes`` (power-of-d) / ``steer_samples``
       (shortest-wait) -- how much telemetry the policy consumed.
 
     Counts are ints (a JSON reader sees ``steer_srv0: 812``, not
     ``812.0``); ratios and cumulative times are floats.
     """
+    names = fabric.names
+    policy = fabric.policy
     summary: Dict[str, Union[int, float]] = {
-        "imbalance_index": imbalance_index(per_server_completed(rack)),
-        "steer_imbalance": imbalance_index(rack.policy.decisions),
-        "switch_dropped": int(rack.switch.dropped),
-        "switch_queue_wait_ns": rack.switch.queue_wait_ns,
+        "imbalance_index": imbalance_index(per_member_completed(fabric)),
+        "steer_imbalance": imbalance_index(policy.decisions),
+        f"{names.switch}_dropped": int(fabric.switch.dropped),
+        f"{names.switch}_queue_wait_ns": fabric.switch.queue_wait_ns,
     }
-    for i, count in enumerate(rack.policy.decisions):
-        summary[f"steer_srv{i}"] = int(count)
-    refreshes = getattr(rack.policy, "refreshes", None)
+    for i, count in enumerate(policy.decisions):
+        summary[f"steer_{names.member}{i}"] = int(count)
+    refreshes = getattr(policy, "refreshes", None)
     if refreshes is not None:
         summary["steer_refreshes"] = int(refreshes)
-    samples = getattr(rack.policy, "samples_taken", None)
+    samples = getattr(policy, "samples_taken", None)
     if samples is not None:
         summary["steer_samples"] = int(samples)
     return summary
 
 
-def register_cluster_instruments(
-    rack: "RackCluster", registry: "MetricRegistry"
+def register_fabric_instruments(
+    fabric: "Fabric", registry: "MetricRegistry"
 ) -> None:
-    """Bind live ``cluster.*`` instruments for a rack into ``registry``.
+    """Bind live ``<namespace>.*`` instruments for a fabric.
 
-    Complements :func:`cluster_summary`: the summary is a one-shot dict
-    for the legacy ``extra`` channel, while these instruments read the
-    same live state at every registry snapshot.
+    Complements :func:`fabric_summary`: the summary is a one-shot dict
+    for the ``extra`` channel, while these instruments read the same
+    live state (through ``fabric.policy``, so a runtime policy swap
+    stays visible) at every registry snapshot.
     """
+    ns = fabric.names.namespace
+    member = fabric.names.member
     registry.gauge(
-        "cluster.imbalance_index",
-        fn=lambda: imbalance_index(per_server_completed(rack)),
+        f"{ns}.imbalance_index",
+        fn=lambda: imbalance_index(per_member_completed(fabric)),
     )
     registry.gauge(
-        "cluster.steer_imbalance",
-        fn=lambda: imbalance_index(rack.policy.decisions),
+        f"{ns}.steer_imbalance",
+        fn=lambda: imbalance_index(fabric.policy.decisions),
     )
-    for i in range(len(rack.servers)):
+    for i in range(len(fabric.members)):
         registry.counter(
-            f"cluster.steer_srv{i}",
-            fn=lambda i=i: int(rack.policy.decisions[i]),
+            f"{ns}.steer_{member}{i}",
+            fn=lambda i=i: int(fabric.policy.decisions[i]),
         )
-    refreshes = getattr(rack.policy, "refreshes", None)
-    if refreshes is not None:
+    if getattr(fabric.policy, "refreshes", None) is not None:
         registry.counter(
-            "cluster.steer_refreshes",
-            fn=lambda: int(rack.policy.refreshes),
+            f"{ns}.steer_refreshes",
+            fn=lambda: int(fabric.policy.refreshes),
         )
-    samples = getattr(rack.policy, "samples_taken", None)
-    if samples is not None:
+    if getattr(fabric.policy, "samples_taken", None) is not None:
         registry.counter(
-            "cluster.steer_samples",
-            fn=lambda: int(rack.policy.samples_taken),
+            f"{ns}.steer_samples",
+            fn=lambda: int(fabric.policy.samples_taken),
         )
+
+
+class TenantSlo:
+    """Live per-tenant SLO attainment, fed as a fabric completion hook.
+
+    Requests on connections outside the mix's connection space belong to
+    no tenant and are skipped, by the same :meth:`TenantMix.owns` filter
+    :func:`~repro.workload.tenants.tenant_slo_summary` applies.
+    """
+
+    def __init__(self, tenants: Sequence[TenantClass]) -> None:
+        self.mix = TenantMix(tenants)
+        self.completed: List[int] = [0] * len(self.mix)
+        self.slo_met: List[int] = [0] * len(self.mix)
+
+    def record(self, request: "Request") -> None:
+        mix = self.mix
+        connection = request.connection
+        if not mix.owns(connection):
+            return
+        tenant = mix.tenant_of(connection)
+        self.completed[tenant] += 1
+        if request.latency <= mix.tenants[tenant].slo_ns:
+            self.slo_met[tenant] += 1
+
+    def register_instruments(self, registry: "MetricRegistry") -> None:
+        """Bind ``tenant.<name>.*`` instruments: snapshots mid-run show
+        attainment so far, not just the final number."""
+        for t, tenant in enumerate(self.mix.tenants):
+            prefix = f"tenant.{tenant.name}"
+            registry.counter(
+                f"{prefix}.completed", fn=lambda t=t: self.completed[t]
+            )
+            registry.counter(
+                f"{prefix}.slo_met", fn=lambda t=t: self.slo_met[t]
+            )
+            registry.gauge(
+                f"{prefix}.attainment",
+                fn=lambda t=t: (
+                    self.slo_met[t] / self.completed[t]
+                    if self.completed[t]
+                    else 1.0
+                ),
+            )

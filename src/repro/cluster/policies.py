@@ -58,7 +58,7 @@ from repro.sim.engine import Event, Simulator
 from repro.workload.request import Request
 
 #: Policy-name registry; values are the constructor names accepted by
-#: :func:`make_policy` and :class:`repro.cluster.topology.RackConfig`.
+#: :func:`make_policy` and :class:`repro.cluster.fabric.FabricConfig`.
 POLICY_NAMES = (
     "hash", "round_robin", "power_of_d", "shortest_wait", "sticky", "spread",
 )

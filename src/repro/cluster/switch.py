@@ -1,4 +1,4 @@
-"""Switch-port models: a shared store-and-forward core plus the ToR.
+"""The switch-port model every fabric tier forwards through.
 
 A switch sits between a load source and N downstream ports.  Every
 request forwarded through it pays:
@@ -18,12 +18,11 @@ traffic leaves the latency measurement at the server (the paper measures
 server-side latency), so modelling it would only dilute the signal the
 cluster and datacenter tiers study.
 
-:class:`SwitchCore` carries the whole mechanism; the concrete tiers
-differ only in trace labels, default metric prefix, and port-speed
-defaults.  :class:`ToRSwitch` (rack downlinks, this module) and
-:class:`repro.datacenter.spine.SpineSwitch` (rack-facing spine ports)
-are both thin parameterizations of the same core, so their timing and
-drop semantics can never drift apart.
+:class:`SwitchCore` carries the whole mechanism; a rack's ToR and a
+datacenter's spine differ only in the trace track and metric prefix
+their :class:`~repro.cluster.fabric.Fabric` passes (from its tier's
+names) and in the port-speed defaults of the config presets, so their
+timing and drop semantics can never drift apart.
 """
 
 from __future__ import annotations
@@ -74,15 +73,13 @@ class SwitchCore:
     on_drop:
         Called as ``on_drop(request, port)`` for every tail-dropped
         request, after the switch's own accounting.
+    track:
+        Trace span track; request marks are ``<track>_queue`` and
+        ``<track>_tx``, so a trace crossing several switch tiers stays
+        readable (a fabric passes its tier's label: ``tor``, ``spine``).
+    metrics_prefix:
+        Default instrument prefix for :meth:`register_metrics`.
     """
-
-    #: Trace span track and mark names; subclasses override so a mixed
-    #: ToR+spine trace stays readable.
-    track = "switch"
-    queue_mark = "switch_queue"
-    tx_mark = "switch_tx"
-    #: Default instrument prefix for :meth:`register_metrics`.
-    metrics_prefix = "switch"
 
     def __init__(
         self,
@@ -92,6 +89,8 @@ class SwitchCore:
         forward_latency_ns: float = DEFAULT_FORWARD_LATENCY_NS,
         port_queue_depth: Optional[int] = DEFAULT_PORT_QUEUE_DEPTH,
         on_drop: Optional[DropFn] = None,
+        track: str = "switch",
+        metrics_prefix: str = "switch",
     ) -> None:
         if n_ports <= 0:
             raise ValueError(f"need at least one port, got {n_ports}")
@@ -111,6 +110,10 @@ class SwitchCore:
         self.forward_latency_ns = float(forward_latency_ns)
         self.port_queue_depth = port_queue_depth
         self.on_drop = on_drop
+        self.track = track
+        self.queue_mark = f"{track}_queue"
+        self.tx_mark = f"{track}_tx"
+        self.metrics_prefix = metrics_prefix
         #: Time each port's serializer frees up.
         self._free_at: List[float] = [0.0] * self.n_ports
         #: Fault-injection state: per-port bandwidth factor (1.0 =
@@ -262,21 +265,6 @@ class SwitchCore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<{type(self).__name__} ports={self.n_ports} "
+            f"<{type(self).__name__} {self.track} ports={self.n_ports} "
             f"forwarded={self.forwarded} dropped={self.dropped}>"
         )
-
-
-class ToRSwitch(SwitchCore):
-    """The top-of-rack switch: the core with ToR trace/metric labels.
-
-    Sits between the rack's load generator and its N servers; each
-    egress port is one server downlink.  Constructor, defaults, and
-    timing are exactly the shared core's -- this subclass only names
-    things, so pre-refactor rack fingerprints are byte-identical.
-    """
-
-    track = "tor"
-    queue_mark = "tor_queue"
-    tx_mark = "tor_tx"
-    metrics_prefix = "cluster.switch"

@@ -1,12 +1,12 @@
 """The actuation surface of the control plane.
 
 :class:`Actuators` is the only object controllers mutate the system
-through.  It duck-detects the tier it was attached to (single server,
-rack, or datacenter) exactly the way :class:`repro.faults.FaultInjector`
-does, exposes every runtime-mutable knob behind one facade, and accounts
-each actuation -- a ``control.*`` instrument bump plus a TraceSink span
-on the ``"control"`` track -- so every decision is auditable after the
-run.
+through.  It reaches a fabric's members, leaf servers and steering
+policies through :class:`~repro.cluster.fabric.Fabric` (a single server
+has only its own knobs), exposes every runtime-mutable knob behind one
+facade, and accounts each actuation -- a ``control.*`` instrument bump
+plus a TraceSink span on the ``"control"`` track -- so every decision is
+auditable after the run.
 
 Admin drains (the scale-in half of rack autoscaling, and the rule
 controllers' response to degradation) are implemented as
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.fabric import Fabric
 from repro.cluster.policies import SteeringPolicy, make_policy
 from repro.control.config import ControlConfig
 from repro.sim.engine import Simulator
@@ -134,22 +135,19 @@ class Actuators:
         self.config = config
         self.trace = trace
         self._streams = streams
-        # Tier detection by duck attributes, mirroring the injector: a
-        # rack/datacenter exposes `servers` and a SteeringPolicy under
-        # `policy`; a datacenter additionally exposes `racks`.
-        servers = getattr(system, "servers", None)
-        self._units = list(servers) if servers is not None else []
-        self._racks = getattr(system, "racks", None)
-        policy = getattr(system, "policy", None)
-        self._has_policy = isinstance(policy, SteeringPolicy)
+        # A fabric's members are the steerable units and its policy the
+        # swappable one; a single server has neither.
+        fabric = system if isinstance(system, Fabric) else None
+        self._fabric = fabric
+        self._units = list(fabric.members) if fabric is not None else []
         #: Construction-time policy name -- what a controller swaps back
         #: to when an escalation episode ends.
-        self.base_policy_name = policy.name if self._has_policy else ""
+        self.base_policy_name = fabric.policy.name if fabric is not None else ""
         #: Altocumulus instances reachable from this system (threshold
-        #: and predictor actuation targets): the system itself, a rack's
-        #: servers, or every server of every rack.
+        #: and predictor actuation targets): the system itself, or every
+        #: leaf server of a fabric.
         self._ac_servers = [
-            s for s in (self._flat_servers() or [system])
+            s for s in (fabric.leaves() if fabric is not None else [system])
             if hasattr(s, "runtimes")
         ]
         #: Per-policy construction-time knob baseline for the
@@ -162,11 +160,9 @@ class Actuators:
         #: Cores per steerable unit (a server's cores, or a whole
         #: rack's at the datacenter tier) -- the autoscaler's capacity
         #: normalizer.
-        sys_config = getattr(system, "config", None)
-        unit_cores = getattr(sys_config, "cores_per_server", None)
-        if unit_cores is None and hasattr(sys_config, "rack"):
-            unit_cores = sys_config.rack.total_cores
-        self.unit_cores = int(unit_cores) if unit_cores else 1
+        self.unit_cores = (
+            fabric.config.member_cores if fabric is not None else 1
+        )
 
         counter = registry.counter
         self._m_actuations = counter("control.actuations")
@@ -193,23 +189,9 @@ class Actuators:
     def is_drained(self, unit: int) -> bool:
         return self._admin is not None and self._admin.admin_down(unit)
 
-    def _flat_servers(self) -> List[object]:
-        if self._racks is not None:
-            return [s for rack in self._racks for s in rack.servers]
-        return list(self._units)
-
     def _live_policies(self) -> List[SteeringPolicy]:
         """Every steering policy below this system, top level first."""
-        policies: List[SteeringPolicy] = []
-        top = getattr(self.system, "policy", None)
-        if isinstance(top, SteeringPolicy):
-            policies.append(top)
-        if self._racks is not None:
-            policies.extend(
-                rack.policy for rack in self._racks
-                if isinstance(getattr(rack, "policy", None), SteeringPolicy)
-            )
-        return policies
+        return self._fabric.policies() if self._fabric is not None else []
 
     # ------------------------------------------------------------------
     # Accounting
@@ -318,7 +300,7 @@ class Actuators:
     def drain(self, unit: int) -> bool:
         """Remove ``unit`` from the steering set (in-flight work still
         completes; nothing is blackholed).  No-op below ``min_active``."""
-        if not self._has_policy or not self._units:
+        if self._fabric is None or not self._units:
             return False
         if self.active_units() <= self.config.min_active:
             return False
@@ -352,15 +334,12 @@ class Actuators:
         and the current health view (admin overlay included) transplants
         onto the replacement.
         """
-        if not self._has_policy:
+        if self._fabric is None:
             return False
         old = self.system.policy
         if old.name == name:
             return False
         config = self.system.config
-        cores = getattr(config, "cores_per_server", None)
-        if cores is None:  # datacenter: a unit is a whole rack
-            cores = config.rack.total_cores
         # Construct from the *base* (construction-time) knobs, not the
         # old policy's possibly-escalated live ones, then re-apply the
         # current ladder rung so swaps compose with the knob ladder.
@@ -371,7 +350,7 @@ class Actuators:
             probe=self.system.outstanding,
             sim=self.sim,
             rng=self._streams.get("steering"),
-            cores_per_server=cores,
+            cores_per_server=self.unit_cores,
             d=int(base.get("d", getattr(config, "d", 2))),
             staleness_ns=base.get("staleness_ns", config.staleness_ns),
             sample_period_ns=base.get(

@@ -37,6 +37,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.cluster.fabric import Fabric
 from repro.control.actuators import Actuators
 from repro.control.config import ControlConfig
 from repro.control.controllers import EpochObservation, make_controller
@@ -70,13 +71,13 @@ class ControlLoop:
             registry = MetricRegistry()
         self.registry = registry
         self.trace = getattr(system, "trace", None)
-        servers = getattr(system, "servers", None)
-        if self.trace is None and servers:
-            self.trace = getattr(servers[0], "trace", None)
+        members = system.members if isinstance(system, Fabric) else []
+        if self.trace is None and members:
+            self.trace = getattr(members[0], "trace", None)
         #: The injector's raw health view, captured before any admin
         #: overlay so fault state and admin state stay distinguishable.
         self._raw_health = getattr(system, "health", None)
-        self._units = list(servers) if servers is not None else []
+        self._units = list(members)
         self._probe = getattr(system, "outstanding", None)
         self._group_probe = getattr(system, "group_outstanding", None)
         #: Sense fault-loss accounting only when an injector registered

@@ -1,41 +1,21 @@
-"""The datacenter tier: a spine-leaf fabric of racks on one simulator.
+"""Sharded parallel-in-time execution of fabrics of fabrics.
 
-Recursion of the cluster tier's pattern one level up: a
-:class:`Datacenter` steers requests across R :class:`RackCluster` leaves
-through a :class:`SpineSwitch`, and duck-types
-:class:`~repro.schedulers.base.RpcSystem` so every existing tool --
-:func:`repro.api.quick_run` (system name ``"datacenter"``), the sweep
-runner, ``--trace``, ``--faults`` -- drives a whole fabric unchanged.
-Pair with :mod:`repro.workload.tenants` for production-shaped
-multi-tenant traffic.
+A datacenter is an ordinary :class:`~repro.cluster.fabric.Fabric` (see
+:meth:`~repro.cluster.fabric.FabricConfig.datacenter`); this package
+runs one partitioned at its top switch: per-member subtrees execute in
+shards synchronized by conservative lookahead windows, bit-identical to
+the serial engine (``quick_run(system="datacenter", shards=N)``,
+``--shards N``).
 """
 
-from repro.datacenter.metrics import (
-    datacenter_summary,
-    per_rack_completed,
-    register_datacenter_instruments,
-)
-from repro.datacenter.spine import (
-    DEFAULT_SPINE_BANDWIDTH_GBPS,
-    DEFAULT_SPINE_FORWARD_LATENCY_NS,
-    DEFAULT_SPINE_PORT_QUEUE_DEPTH,
-    SpineSwitch,
-)
-from repro.datacenter.topology import (
-    Datacenter,
-    DatacenterConfig,
-    build_topology,
+from repro.datacenter.sharded import (
+    MirrorRack,
+    ShardedDatacenter,
+    build_sharded_topology,
 )
 
 __all__ = [
-    "Datacenter",
-    "DatacenterConfig",
-    "build_topology",
-    "SpineSwitch",
-    "DEFAULT_SPINE_BANDWIDTH_GBPS",
-    "DEFAULT_SPINE_FORWARD_LATENCY_NS",
-    "DEFAULT_SPINE_PORT_QUEUE_DEPTH",
-    "datacenter_summary",
-    "per_rack_completed",
-    "register_datacenter_instruments",
+    "MirrorRack",
+    "ShardedDatacenter",
+    "build_sharded_topology",
 ]

@@ -1,26 +1,27 @@
 """Sharded datacenter: per-rack subtrees behind a window coordinator.
 
-The serial :class:`~repro.datacenter.topology.Datacenter` runs the whole
-fabric on one event heap.  This module cuts the graph at the spine --
-the one place every cross-rack byte passes -- and rebuilds the same
-topology as:
+A serial :class:`~repro.cluster.fabric.Fabric` runs the whole fabric on
+one event heap.  This module cuts the graph at the top switch -- the one
+place every cross-member byte passes -- and rebuilds the same topology
+as:
 
 * a **coordinator** (:class:`ShardedDatacenter`, in the main process):
-  the load generator, inter-rack steering policy, spine switch, fault
+  the load generator, top-level steering policy, top switch, fault
   injector and retry client all run here, exactly as serial;
 * N **shards** (:class:`repro.sim.sharded.InProcessShard` /
-  ``ProcessShard``): each hosts a contiguous group of rack subtrees
-  (ToR + servers + intra-rack policy) on its own simulator, built from
-  the same per-rack RNG seeds the serial run spawns;
-* **mirror racks** (:class:`MirrorRack`) standing in for the real racks
-  on the coordinator, so the unmodified ``Datacenter`` wiring (policy
-  probes, per-rack stats instruments, completion hook chains, fault
+  ``ProcessShard``): each hosts a contiguous group of member subtrees
+  (for a datacenter: racks with their ToR, servers and intra-rack
+  policy) on its own simulator, built from the same per-member RNG seeds
+  the serial run spawns;
+* **mirror racks** (:class:`MirrorRack`) standing in for the real members
+  on the coordinator, so the unmodified ``Fabric`` wiring (policy
+  probes, per-member stats instruments, completion hook chains, fault
   guards) binds to coordinator-side state.
 
-Why the spine cut gives lookahead: the spine's dispatch pipeline adds a
-fixed ``forward_latency_ns`` *after* serialization finishes, so a
-message leaving the spine serializer at time ``t`` reaches a rack at
-exactly ``t + H`` (``H`` = the spine's
+Why the top-switch cut gives lookahead: the switch's dispatch pipeline
+adds a fixed ``forward_latency_ns`` *after* serialization finishes, so a
+message leaving the switch serializer at time ``t`` reaches a member at
+exactly ``t + H`` (``H`` = the switch's
 :meth:`~repro.cluster.switch.SwitchCore.min_transit_ns` at size 0).
 With windows aligned to multiples of ``H``, everything a window
 generates is deliverable only in later windows -- the conservative-PDES
@@ -29,15 +30,15 @@ guarantee :class:`~repro.sim.sharded.WindowDriver` runs on.
 Bit-identity argument, per window:
 
 * shard subtrees receive exactly the serial deliveries at the serial
-  timestamps and consume the serial per-rack RNG streams, so their
+  timestamps and consume the serial per-member RNG streams, so their
   event evolution is the serial one verbatim;
 * the coordinator replays shard terminal records interleaved with its
   own events in timestamp order, so global side effects (tenant
   accounting, retry clients, ``expect`` stops) land on the serial clock;
 * fault admission (health gate + NIC drop coin) is mirrored at
   message-ship time from a static timeline of the fault plan, drawing
-  the injector's own ``"faults"`` stream in spine-serialization order --
-  which equals the serial delivery-guard order, because delivery time
+  the injector's own ``"faults"`` stream in switch-serialization order
+  -- which equals the serial delivery-guard order, because delivery time
   is serialization-done time plus the constant ``H``.
 """
 
@@ -46,9 +47,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.topology import RackConfig, build_rack
-from repro.datacenter.spine import SpineSwitch
-from repro.datacenter.topology import Datacenter, DatacenterConfig
+from repro.cluster.fabric import Fabric, FabricConfig, build_fabric, tier_names
+from repro.cluster.switch import SwitchCore
 from repro.schedulers.base import SystemStats
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -69,24 +69,13 @@ _DROPPED = "d"
 _BLACKHOLED = "b"
 _NIC_DROPPED = "n"
 
-#: Fault kinds the ship-time admission mirror must track: they are the
-#: only kinds that change ``health.usable`` or the NIC drop probability
-#: for a datacenter-tier target.  Everything else either acts on
-#: coordinator-side live state (spine knobs, steering health penalties)
-#: or is structurally inert at this tier (ToR/core/manager kinds).
-_TIMELINE_KINDS = frozenset((
-    "server_crash", "server_recover",
-    "spine_partition", "spine_heal",
-    "nic_drop", "nic_drop_stop",
-))
-
 
 # ----------------------------------------------------------------------
 # Request packing (process shards only; in-process shards share objects)
 # ----------------------------------------------------------------------
 def _pack_request(request: Request) -> tuple:
     """Ship-side fields: everything set before a request crosses the
-    spine.  Post-delivery fields are still at their defaults here."""
+    top switch.  Post-delivery fields are still at their defaults here."""
     return (
         request.req_id, request.arrival, request.service_time,
         request.size_bytes, request.connection, request.kind,
@@ -131,13 +120,13 @@ def _apply_sync(request: Request, sync: tuple) -> None:
 # Coordinator-side stand-ins
 # ----------------------------------------------------------------------
 class MirrorRack:
-    """Coordinator-side stand-in for one shard-hosted rack.
+    """Coordinator-side stand-in for one shard-hosted member.
 
-    Presents exactly the surface the unmodified ``Datacenter`` wiring
-    touches -- ``offer`` (never legitimately called: the sharded spine
+    Presents exactly the surface the unmodified ``Fabric`` wiring
+    touches -- ``offer`` (never legitimately called: the sharded switch
     exports instead of delivering, so it raises loudly), hook lists the
     fault/retry layers append to, a private ``stats`` whose counters the
-    per-rack instruments read, and an empty child registry.  Terminal
+    per-member instruments read, and an empty child registry.  Terminal
     state is written only by the coordinator's replay, which makes the
     mirror's counters serial-exact by construction even when the shard
     itself overran a truncated run.
@@ -152,11 +141,11 @@ class MirrorRack:
 
     def offer(self, request: Request) -> None:
         raise RuntimeError(
-            "MirrorRack.offer called: a sharded spine must export "
+            "MirrorRack.offer called: a sharded switch must export "
             "messages to its shard, never deliver them locally"
         )
 
-    # Replay application: the mirrored tail of RackCluster's
+    # Replay application: the mirrored tail of a member fabric's
     # _member_completed / _member_dropped / _switch_dropped chains.
     def apply_completion(self, request: Request) -> None:
         self.stats.completed += 1
@@ -174,7 +163,7 @@ class MirrorRack:
         return self.finished
 
     def shutdown(self) -> None:
-        """The real rack shuts down shard-side (at harvest)."""
+        """The real member shuts down shard-side (at harvest)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MirrorRack done={self.stats.completed}>"
@@ -188,20 +177,30 @@ class _FaultTimeline:
     have been replayed, so the mirror reads this timeline instead: the
     plan's expanded events (the exact list, in the exact (time,
     declaration) order the injector schedules) filtered to the kinds
-    that move ``down``/``drop_p`` at this tier.  Events at exactly the
-    delivery time apply first, matching the serial heap order (fault
+    that move ``down``/``drop_p`` at this tier -- member crashes, NIC
+    drop bursts, and partitions of the top switch's ports (the
+    ``<track>_partition`` kinds).  Every other kind either acts on
+    coordinator-side live state (switch bandwidth, steering health
+    penalties) or is structurally inert at this tier.  Events at exactly
+    the delivery time apply first, matching the serial heap order (fault
     events are scheduled at construction, so their sequence numbers
     precede any delivery's).
     """
 
-    def __init__(self, plan, n_racks: int) -> None:
+    def __init__(self, plan, n_members: int, track: str) -> None:
+        self._partition = f"{track}_partition"
+        self._heal = f"{track}_heal"
+        kinds = (
+            "server_crash", "server_recover", "nic_drop", "nic_drop_stop",
+            self._partition, self._heal,
+        )
         self._events = [
             event for event in plan.expanded_events()
-            if event.kind in _TIMELINE_KINDS and 0 <= event.target < n_racks
+            if event.kind in kinds and 0 <= event.target < n_members
         ]
         self._next = 0
-        self.down = [False] * n_racks
-        self.drop_p = [0.0] * n_racks
+        self.down = [False] * n_members
+        self.drop_p = [0.0] * n_members
 
     def advance(self, time_ns: float) -> None:
         events = self._events
@@ -212,9 +211,9 @@ class _FaultTimeline:
             event = events[i]
             i += 1
             kind = event.kind
-            if kind == "server_crash" or kind == "spine_partition":
+            if kind == "server_crash" or kind == self._partition:
                 down[event.target] = True
-            elif kind == "server_recover" or kind == "spine_heal":
+            elif kind == "server_recover" or kind == self._heal:
                 down[event.target] = False
             elif kind == "nic_drop":
                 drop_p[event.target] = event.magnitude
@@ -223,8 +222,8 @@ class _FaultTimeline:
         self._next = i
 
 
-class ShardedSpine(SpineSwitch):
-    """A spine whose forwarding pipeline exports to shard batches.
+class ShardedSwitch(SwitchCore):
+    """A switch whose forwarding pipeline exports to shard batches.
 
     Serialization, queueing, tail-drop and partition blackholing are the
     inherited (coordinator-live, serial-exact) mechanics; only the final
@@ -234,25 +233,27 @@ class ShardedSpine(SpineSwitch):
     shard at exactly that delivery time.
     """
 
-    def __init__(self, *args: Any, export: List[tuple], **kwargs: Any) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._export = export
+        #: (serialization-done time, port, request), in execution order;
+        #: drained by the coordinator at every window end.
+        self.exported: List[tuple] = []
 
     def _dispatch(self, request: Request, port: int, deliver) -> None:
         # `deliver` is the (possibly fault-guarded) mirror offer; it
         # must never run here -- delivery happens shard-side.
-        self._export.append((self.sim.now, port, request))
+        self.exported.append((self.sim.now, port, request))
 
 
 # ----------------------------------------------------------------------
 # Shard-side model
 # ----------------------------------------------------------------------
 class _RackShardModel:
-    """What one shard simulates: a group of rack subtrees on their own
-    simulator, with terminal records captured via the racks' hook
-    chains (the exact seam the serial datacenter wires itself into)."""
+    """What one shard simulates: a group of member fabrics on their own
+    simulator, with terminal records captured via the members' hook
+    chains (the exact seam the serial parent wires itself into)."""
 
-    def __init__(self, sim: Simulator, racks: Sequence[Any], packed: bool) -> None:
+    def __init__(self, sim: Simulator, racks: Sequence[Fabric], packed: bool) -> None:
         self.sim = sim
         self.racks = list(racks)
         self._packed = packed
@@ -304,64 +305,59 @@ class _RackShardModel:
             # utilization flat-sums them in the serial iteration order,
             # so even the float addition order matches bit-for-bit.
             busy_ns = [
-                core.busy_ns
-                for server in rack.servers
-                for core in server.cores
+                core.busy_ns for leaf in rack.leaves() for core in leaf.cores
             ]
             out.append((rack.metrics.snapshot(), busy_ns))
         return out
 
 
 def _build_shard_model(
-    seeds: Sequence[int], rack_config: RackConfig, packed: bool
+    seeds: Sequence[int], member: FabricConfig, packed: bool
 ) -> _RackShardModel:
     """Module-level shard factory (crosses the process boundary by
-    name).  Each rack is built exactly as the serial
-    :func:`~repro.datacenter.topology.build_topology` builds it: a
-    fresh simulator plus ``RandomStreams`` re-seeded with the value
-    ``streams.spawn("dc-rack-<i>")`` derives, so the shard-side rack
-    consumes bit-for-bit the serial rack's streams."""
+    name).  Each member is built exactly as the serial
+    :func:`~repro.cluster.fabric.build_fabric` builds it: a fresh
+    simulator plus ``RandomStreams`` re-seeded with the value the serial
+    per-member spawn (``dc-rack-<i>`` for a datacenter) derives, so the
+    shard-side member consumes bit-for-bit the serial member's streams."""
     sim = Simulator()
-    racks = [
-        build_rack(sim, RandomStreams(seed), rack_config) for seed in seeds
-    ]
+    racks = [build_fabric(sim, RandomStreams(seed), member) for seed in seeds]
     return _RackShardModel(sim, racks, packed)
 
 
 # ----------------------------------------------------------------------
 # The coordinator
 # ----------------------------------------------------------------------
-class ShardedDatacenter(Datacenter):
-    """The window-coordinator datacenter: serial surface, sharded core.
+class ShardedDatacenter(Fabric):
+    """The window-coordinator fabric: serial surface, sharded core.
 
     Constructed by :func:`build_sharded_topology`; implements the
     coordinator protocol :class:`~repro.sim.sharded.WindowDriver`
     drives (``window_ns`` / ``shards`` / ``take_batches`` / ``replay``
     / ``end_window`` / ``next_delivery_time`` / ``finish``) on top of
-    the unmodified ``Datacenter`` wiring bound to mirror racks.
+    the unmodified ``Fabric`` wiring bound to mirror racks.
     """
+
+    switch_class = ShardedSwitch
 
     def __init__(
         self,
         sim: Simulator,
         streams: RandomStreams,
-        config: DatacenterConfig,
+        config: FabricConfig,
         mirrors: List[MirrorRack],
         shard_handles: List[ShardHandle],
         groups: List[List[int]],
         packed: bool,
     ) -> None:
-        if config.spine_forward_latency_ns <= 0:
+        if config.forward_latency_ns <= 0:
             raise ValueError(
-                "sharded execution needs spine_forward_latency_ns > 0: "
-                "the forwarding latency is the conservative lookahead"
+                "sharded execution needs forward_latency_ns > 0 at the top "
+                "switch: the forwarding latency is the conservative lookahead"
             )
-        #: Spine export buffer; must exist before super().__init__
-        #: constructs the spine via _make_spine.
-        self._spine_buffer: List[tuple] = []
         self.shards = shard_handles
         self._groups = groups
-        #: rack index -> (owning shard, index within that shard).
+        #: member index -> (owning shard, index within that shard).
         self._placement: Dict[int, Tuple[int, int]] = {
             rack: (shard, local)
             for shard, group in enumerate(groups)
@@ -370,9 +366,9 @@ class ShardedDatacenter(Datacenter):
         self._packed = packed
         self._batches: List[List[tuple]] = [[] for _ in shard_handles]
         self._bumps: List[tuple] = []
-        #: Admitted delivery times per rack (monotone: spine ports
+        #: Admitted delivery times per member (monotone: switch ports
         #: serialize in order), walked against the clock to mirror the
-        #: serial rack's `offered` counter.  Initialized before the
+        #: serial member's `offered` counter.  Initialized before the
         #: serial constructor runs: the steering policy probes
         #: :meth:`outstanding` at start().
         self._admitted_d: List[List[float]] = [[] for _ in mirrors]
@@ -384,26 +380,16 @@ class ShardedDatacenter(Datacenter):
         self._harvested: Dict[int, Tuple[dict, float]] = {}
         self._finished = False
         super().__init__(sim, streams, config, mirrors)
-        self.window_ns = self.spine.min_transit_ns(0)
-
-    def _make_spine(self, sim: Simulator, config: DatacenterConfig) -> SpineSwitch:
-        return ShardedSpine(
-            sim,
-            n_ports=config.n_racks,
-            bandwidth_gbps=config.spine_bandwidth_gbps,
-            forward_latency_ns=config.spine_forward_latency_ns,
-            port_queue_depth=config.spine_port_queue_depth,
-            spine_links=config.spine_links,
-            on_drop=self._switch_dropped,
-            export=self._spine_buffer,
-        )
+        self.window_ns = self.switch.min_transit_ns(0)
 
     # ------------------------------------------------------------------
     # Fault-layer integration
     # ------------------------------------------------------------------
     def on_fault_injector_attached(self, injector) -> None:
         self._injector = injector
-        self._timeline = _FaultTimeline(injector.plan, self.config.n_racks)
+        self._timeline = _FaultTimeline(
+            injector.plan, self.config.n_members, self.switch.track
+        )
 
     # ------------------------------------------------------------------
     # Coordinator protocol (driven by WindowDriver)
@@ -421,9 +407,9 @@ class ShardedDatacenter(Datacenter):
         return best
 
     def end_window(self, horizon: float) -> None:
-        """Admit the window's spine traffic and build next batches.
+        """Admit the window's switch traffic and build next batches.
 
-        The buffer holds (serialization-done, port, request) in
+        The export buffer holds (serialization-done, port, request) in
         execution order, which equals the serial delivery-event order
         (delivery = done + H, a constant shift).  Admission therefore
         draws the injector's ``"faults"`` coins in exactly the serial
@@ -438,7 +424,8 @@ class ShardedDatacenter(Datacenter):
         batches = self._batches
         admitted = self._admitted_d
         packed = self._packed
-        for done, port, request in self._spine_buffer:
+        exported = self.switch.exported
+        for done, port, request in exported:
             delivery = done + window
             if injector is not None:
                 timeline.advance(delivery)
@@ -462,7 +449,7 @@ class ShardedDatacenter(Datacenter):
             else:
                 payload = request
             batches[shard].append((delivery, local, payload))
-        self._spine_buffer.clear()
+        exported.clear()
 
     def replay(self, horizon: float, shard_records: List[List[tuple]]) -> None:
         """Interleave shard terminals (and pending admission bumps) with
@@ -498,7 +485,7 @@ class ShardedDatacenter(Datacenter):
                 _apply_sync(request, sync)
             else:
                 request = ref
-            mirror = self.racks[rack]
+            mirror = self.members[rack]
             if kind == _COMPLETED:
                 mirror.apply_completion(request)
             else:
@@ -520,7 +507,7 @@ class ShardedDatacenter(Datacenter):
                 self._harvested[group[local]] = harvested
             handle.close()
         now = self.sim.now
-        for rack, mirror in enumerate(self.racks):
+        for rack, mirror in enumerate(self.members):
             mirror.stats.offered = self._walk_offered(rack, now)
 
     # ------------------------------------------------------------------
@@ -535,11 +522,11 @@ class ShardedDatacenter(Datacenter):
         return ptr
 
     def outstanding(self, rack: int) -> float:
-        """Serial semantics: deliveries that have reached the rack minus
-        its terminals.  Arrivals come from the admitted-delivery walk
-        (the shard-side ``offered`` bump, mirrored); terminals from the
-        replay-maintained mirror stats."""
-        stats = self.racks[rack].stats
+        """Serial semantics: deliveries that have reached the member
+        minus its terminals.  Arrivals come from the admitted-delivery
+        walk (the shard-side ``offered`` bump, mirrored); terminals from
+        the replay-maintained mirror stats."""
+        stats = self.members[rack].stats
         offered = self._walk_offered(rack, self.sim.now)
         return float(offered - stats.completed - stats.dropped)
 
@@ -549,18 +536,18 @@ class ShardedDatacenter(Datacenter):
         total_cores = self.config.total_cores
         if total_cores == 0:
             return 0.0
-        # Flat left-to-right sum over racks in index order: the serial
-        # Datacenter.utilization addition order, bit-for-bit.
+        # Flat left-to-right sum over members in index order: the serial
+        # Fabric.utilization addition order, bit-for-bit.
         busy = sum(
             core_busy
-            for rack in range(len(self.racks))
+            for rack in range(len(self.members))
             for core_busy in self._harvested[rack][1]
         )
         return busy / (elapsed_ns * total_cores)
 
     def shutdown(self) -> None:
         super().shutdown()
-        for rack, mirror in enumerate(self.racks):
+        for rack, mirror in enumerate(self.members):
             harvested = self._harvested.get(rack)
             if harvested is None:
                 continue
@@ -571,7 +558,9 @@ class ShardedDatacenter(Datacenter):
             snapshot["system.offered"] = stats.offered
             snapshot["system.completed"] = stats.completed
             snapshot["system.dropped"] = stats.dropped
-            self.metrics.attach_snapshot(f"rack{rack}", snapshot)
+            self.metrics.attach_snapshot(
+                f"{self.names.member}{rack}", snapshot
+            )
 
 
 # ----------------------------------------------------------------------
@@ -580,25 +569,33 @@ class ShardedDatacenter(Datacenter):
 def build_sharded_topology(
     sim: Simulator,
     streams: RandomStreams,
-    config: DatacenterConfig,
+    config: FabricConfig,
     shards: int,
     mode: str = "process",
 ) -> ShardedDatacenter:
-    """Build a datacenter partitioned across ``shards`` workers.
+    """Build a fabric of fabrics partitioned across ``shards`` workers.
 
+    ``config`` is a depth >= 2 fabric (a datacenter, or deeper): the cut
+    is at its top switch, so every shard hosts whole member fabrics.
     ``sim`` must be a :class:`~repro.sim.sharded.ShardedSimulator`; the
     window driver is bound to it here, so ``sim.run(...)`` transparently
     runs the conservative window loop.  ``mode`` is ``"process"``
     (worker processes; the speedup configuration) or ``"inprocess"``
     (same-process shards sharing Request objects; the ``shards=1``
-    overhead baseline and the transport-free test mode).  Racks are
+    overhead baseline and the transport-free test mode).  Members are
     assigned to shards in contiguous balanced groups.
     """
     if mode not in ("process", "inprocess"):
         raise ValueError(f"unknown shard mode {mode!r}")
-    if not 1 <= shards <= config.n_racks:
+    if not isinstance(config.member, FabricConfig):
         raise ValueError(
-            f"shards must be in [1, n_racks={config.n_racks}], got {shards}"
+            "sharding cuts at the top switch and needs fabric members "
+            f"(a datacenter or deeper); got leaf system {config.member!r}"
+        )
+    n_members = config.n_members
+    if not 1 <= shards <= n_members:
+        raise ValueError(
+            f"shards must be in [1, n_members={n_members}], got {shards}"
         )
     bind = getattr(sim, "bind_driver", None)
     if bind is None:
@@ -607,23 +604,22 @@ def build_sharded_topology(
             f"(got {type(sim).__name__})"
         )
     groups: List[List[int]] = [[] for _ in range(shards)]
-    for rack in range(config.n_racks):
-        groups[rack * shards // config.n_racks].append(rack)
+    for rack in range(n_members):
+        groups[rack * shards // n_members].append(rack)
     packed = mode == "process"
+    spawn = tier_names(config.depth).spawn
     handles: List[ShardHandle] = []
     for group in groups:
-        seeds = [
-            streams.spawn(f"dc-rack-{rack}").master_seed for rack in group
-        ]
+        seeds = [streams.spawn(f"{spawn}{rack}").master_seed for rack in group]
         if packed:
             handles.append(
-                ProcessShard(_build_shard_model, (seeds, config.rack, True))
+                ProcessShard(_build_shard_model, (seeds, config.member, True))
             )
         else:
             handles.append(
-                InProcessShard(_build_shard_model(seeds, config.rack, False))
+                InProcessShard(_build_shard_model(seeds, config.member, False))
             )
-    mirrors = [MirrorRack() for _ in range(config.n_racks)]
+    mirrors = [MirrorRack() for _ in range(n_members)]
     datacenter = ShardedDatacenter(
         sim, streams, config, mirrors, handles, groups, packed
     )

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.cluster.topology import RackConfig
-from repro.datacenter.topology import DatacenterConfig, build_topology
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.experiments.common import ExperimentResult, scaled
 from repro.runner import PointSpec, ref, run_points
 from repro.workload.service import Exponential
@@ -94,12 +93,12 @@ def datacenter_builder(
     cores_per_server: int = CORES_PER_SERVER,
 ):
     """Module-level (picklable) datacenter builder for sweep workers."""
-    return build_topology(
+    return build_fabric(
         sim,
         streams,
-        DatacenterConfig(
+        FabricConfig.datacenter(
             n_racks=n_racks,
-            rack=RackConfig(
+            rack=FabricConfig.rack(
                 n_servers=n_servers,
                 cores_per_server=cores_per_server,
                 system="altocumulus",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.cluster.topology import RackConfig, build_rack
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.experiments.common import ExperimentResult, scaled
 from repro.runner import PointSpec, ref, run_points
 from repro.workload.connections import ConnectionPool
@@ -78,10 +78,10 @@ def rack_builder(
     sample_period_ns: float = 2_000.0,
 ):
     """Module-level (picklable) rack builder for sweep workers."""
-    return build_rack(
+    return build_fabric(
         sim,
         streams,
-        RackConfig(
+        FabricConfig.rack(
             n_servers=n_servers,
             cores_per_server=cores_per_server,
             system=system,

@@ -33,7 +33,12 @@ from repro.telemetry import MetricRegistry
 from repro.workload.request import Request
 
 from repro.faults.health import HealthView
-from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError
+from repro.faults.plan import (
+    PORT_FAULT_LABELS,
+    FaultEvent,
+    FaultPlan,
+    FaultPlanError,
+)
 
 
 class NullFaults:
@@ -76,24 +81,24 @@ class FaultInjector:
         if registry is None:
             registry = MetricRegistry()
         self.registry = registry
-        # Tier detection by duck attributes: a rack exposes `servers`
-        # and `switch`; a datacenter exposes `servers` (its racks --
-        # this tier's unit of failure) and `spine`.  Either way the
-        # entries of `servers` are what crash/blackhole faults address.
-        servers = getattr(system, "servers", None)
-        self._is_rack = servers is not None
-        self._servers = list(servers) if self._is_rack else [system]
-        self._switch = getattr(system, "switch", None)
-        self._spine = getattr(system, "spine", None)
+        # Imported here: repro.cluster imports this package's health
+        # view, so a module-scope import would cycle.
+        from repro.cluster.fabric import Fabric
+
+        # A fabric's members are its unit of failure (servers in a rack,
+        # racks in a datacenter): crash/blackhole faults address them,
+        # and its switch answers the port-fault kinds carrying the
+        # switch's tier label.  A single server is its own only target.
+        self._is_fabric = isinstance(system, Fabric)
+        self._servers = list(system.members) if self._is_fabric else [system]
+        self._switch = system.switch if self._is_fabric else None
         health = getattr(system, "health", None)
         if health is None or not isinstance(health, HealthView):
             health = HealthView(len(self._servers))
         self.health = health
-        if self._is_rack:
+        if self._is_fabric:
             system.health = health
-            policy_health = getattr(system.policy, "health", None)
-            if policy_health is not None:
-                system.policy.health = health
+            system.policy.health = health
         self.trace = getattr(system, "trace", None)
         if self.trace is None and self._servers:
             self.trace = getattr(self._servers[0], "trace", None)
@@ -110,10 +115,12 @@ class FaultInjector:
         self._m_partition_dropped = counter("faults.partition_dropped")
         self._m_responses_lost = counter("faults.responses_lost")
         self._m_core_stalls = counter("faults.core_stalls")
-        self._m_tor_degrades = counter("faults.tor_degrades")
-        self._m_partitions = counter("faults.tor_partitions")
-        self._m_spine_degrades = counter("faults.spine_degrades")
-        self._m_spine_partitions = counter("faults.spine_partitions")
+        #: Window-opening port faults, keyed by kind (``tor_degrade``...).
+        self._m_port_faults = {
+            f"{label}_{action}": counter(f"faults.{label}_{action}s")
+            for label in PORT_FAULT_LABELS
+            for action in ("degrade", "partition")
+        }
         self._m_manager_fails = counter("faults.manager_fails")
         self._m_in_flight_forgotten = counter("faults.in_flight_forgotten")
         self._m_orphans_redispatched = counter("faults.orphans_redispatched")
@@ -146,14 +153,11 @@ class FaultInjector:
     # Ingress guards
     # ------------------------------------------------------------------
     def _wrap_delivery(self) -> None:
-        if self._is_rack:
+        if self._is_fabric:
             deliver = self.system._deliver
             for idx in range(len(deliver)):
                 deliver[idx] = self._make_guard(idx, deliver[idx])
-            if self._switch is not None:
-                self._switch.on_partition_drop = self.on_partition_drop
-            if self._spine is not None:
-                self._spine.on_partition_drop = self.on_partition_drop
+            self._switch.on_partition_drop = self.on_partition_drop
         else:
             # Single server: everything the client sends flows through
             # one guard in front of the system's NIC.
@@ -161,9 +165,9 @@ class FaultInjector:
 
     @property
     def ingress(self):
-        """Where the retry client sends attempts: the rack's own
+        """Where the retry client sends attempts: the fabric's own
         steering ingress, or the single-server guard."""
-        return self.system.offer if self._is_rack else self.guarded_offer
+        return self.system.offer if self._is_fabric else self.guarded_offer
 
     def guarded_offer(self, request: Request) -> None:
         """Single-server ingress: the client sends through this."""
@@ -220,10 +224,16 @@ class FaultInjector:
     # Event dispatch
     # ------------------------------------------------------------------
     def _fire(self, event: FaultEvent) -> None:
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is None:  # pragma: no cover - kinds are validated
-            raise FaultPlanError(f"no handler for fault kind {event.kind!r}")
-        applied = handler(event)
+        label, _, action = event.kind.partition("_")
+        if label in PORT_FAULT_LABELS:
+            applied = self._on_port_fault(event, label, action)
+        else:
+            handler = getattr(self, f"_on_{event.kind}", None)
+            if handler is None:  # pragma: no cover - kinds are validated
+                raise FaultPlanError(
+                    f"no handler for fault kind {event.kind!r}"
+                )
+            applied = handler(event)
         if applied:
             self._m_events.value += 1
         else:
@@ -299,79 +309,36 @@ class FaultInjector:
         self._window_close("core_stall", event.target, event.subtarget)
         return True
 
-    # -- ToR port faults (rack only) -----------------------------------
-    def _on_tor_degrade(self, event: FaultEvent) -> bool:
-        if self._switch is None:
+    # -- switch port faults (<label>_degrade/restore/partition/heal) ---
+    def _on_port_fault(self, event: FaultEvent, label: str, action: str) -> bool:
+        """Flip one port knob on this fabric's switch when its tier label
+        matches the kind's (``tor`` at depth 1, ``spine`` at depth 2);
+        structurally inapplicable anywhere else."""
+        switch = self._switch
+        if switch is None or switch.track != label:
             return False
-        self._switch.set_port_bandwidth_factor(event.target, event.magnitude)
-        self.health.add_degraded(event.target)
-        self._m_tor_degrades.value += 1
-        self._window_open("tor_degrade", event.target, 0)
-        return True
-
-    def _on_tor_restore(self, event: FaultEvent) -> bool:
-        if self._switch is None:
-            return False
-        self._switch.set_port_bandwidth_factor(event.target, 1.0)
-        self.health.remove_degraded(event.target)
-        self._window_close("tor_degrade", event.target, 0)
-        return True
-
-    def _on_tor_partition(self, event: FaultEvent) -> bool:
-        if self._switch is None:
-            return False
-        self._switch.set_port_partitioned(event.target, True)
-        # A partitioned port is indistinguishable from a crash to the
-        # client and the steering layer: unreachable, responses lost.
-        self.health.set_down(event.target, True)
-        self._m_partitions.value += 1
-        self._window_open("tor_partition", event.target, 0)
-        return True
-
-    def _on_tor_heal(self, event: FaultEvent) -> bool:
-        if self._switch is None:
-            return False
-        self._switch.set_port_partitioned(event.target, False)
-        self.health.set_down(event.target, False)
-        self._window_close("tor_partition", event.target, 0)
-        return True
-
-    # -- spine port faults (datacenter only) ---------------------------
-    def _on_spine_degrade(self, event: FaultEvent) -> bool:
-        if self._spine is None:
-            return False
-        self._spine.set_port_bandwidth_factor(event.target, event.magnitude)
-        self.health.add_degraded(event.target)
-        self._m_spine_degrades.value += 1
-        self._window_open("spine_degrade", event.target, 0)
-        return True
-
-    def _on_spine_restore(self, event: FaultEvent) -> bool:
-        if self._spine is None:
-            return False
-        self._spine.set_port_bandwidth_factor(event.target, 1.0)
-        self.health.remove_degraded(event.target)
-        self._window_close("spine_degrade", event.target, 0)
-        return True
-
-    def _on_spine_partition(self, event: FaultEvent) -> bool:
-        if self._spine is None:
-            return False
-        self._spine.set_port_partitioned(event.target, True)
-        # A partitioned spine port cuts off the whole rack behind it:
-        # unreachable, responses lost -- a rack-granular crash as far as
-        # the client and the inter-rack steering layer can tell.
-        self.health.set_down(event.target, True)
-        self._m_spine_partitions.value += 1
-        self._window_open("spine_partition", event.target, 0)
-        return True
-
-    def _on_spine_heal(self, event: FaultEvent) -> bool:
-        if self._spine is None:
-            return False
-        self._spine.set_port_partitioned(event.target, False)
-        self.health.set_down(event.target, False)
-        self._window_close("spine_partition", event.target, 0)
+        port = event.target
+        if action == "degrade":
+            switch.set_port_bandwidth_factor(port, event.magnitude)
+            self.health.add_degraded(port)
+            self._m_port_faults[event.kind].value += 1
+            self._window_open(event.kind, port, 0)
+        elif action == "restore":
+            switch.set_port_bandwidth_factor(port, 1.0)
+            self.health.remove_degraded(port)
+            self._window_close(f"{label}_degrade", port, 0)
+        elif action == "partition":
+            switch.set_port_partitioned(port, True)
+            # A partitioned port is indistinguishable from a crash of the
+            # member behind it to the client and the steering layer:
+            # unreachable, responses lost.
+            self.health.set_down(port, True)
+            self._m_port_faults[event.kind].value += 1
+            self._window_open(event.kind, port, 0)
+        else:  # heal
+            switch.set_port_partitioned(port, False)
+            self.health.set_down(port, False)
+            self._window_close(f"{label}_partition", port, 0)
         return True
 
     def on_partition_drop(self, request: Request, port: int) -> None:

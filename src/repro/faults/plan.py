@@ -32,11 +32,13 @@ kind                target / subtarget      magnitude
 ``manager_fail``    server idx / group idx  --  (one-shot, no pair)
 ==================  ======================  =================================
 
-The ``spine_*`` kinds target the datacenter tier's spine switch (one
-port per rack); against a system with no spine they are structurally
-inapplicable and counted as skipped, exactly like ``tor_*`` kinds
-against a single server.  At the datacenter tier, ``server_crash`` and
-friends address *racks* (the tier's unit of failure).
+Port kinds are keyed by switch tier label: ``tor_*`` kinds target a
+depth-1 fabric's switch (a rack's ToR, one port per server) and
+``spine_*`` kinds a depth-2 fabric's switch (a datacenter's spine, one
+port per rack); against any other system they are structurally
+inapplicable and counted as skipped.  Against a fabric,
+``server_crash`` and friends address its *members* (racks, at the
+datacenter tier: that tier's unit of failure).
 
 A ``duration_ns`` on a window kind expands into the paired recovery
 event; one-shot kinds (``manager_fail``) take no duration.
@@ -47,6 +49,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
+
+#: Switch tier labels the port-fault kinds address: ``<label>_degrade``
+#: and ``<label>_partition`` hit the switch of the fabric whose tier
+#: carries that label (see :func:`repro.cluster.fabric.tier_names`).
+PORT_FAULT_LABELS: Tuple[str, ...] = ("tor", "spine")
 
 #: Fault kinds that open a window and are closed by a paired recovery
 #: event (generated from ``duration_ns`` or listed explicitly).

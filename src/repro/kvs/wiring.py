@@ -37,17 +37,13 @@ from repro.telemetry import MetricRegistry
 
 
 def _leaves(system) -> List[Tuple[object, int]]:
-    """Flatten a system into ``(leaf, n_groups)`` pairs.
+    """Flatten a system (a single server, or a fabric of any depth) into
+    ``(leaf, n_groups)`` pairs."""
+    # Imported here: repro.cluster reaches this module through the
+    # faults package, so a module-scope import would cycle.
+    from repro.cluster.fabric import Fabric
 
-    ``Datacenter`` aliases ``.servers`` to its racks, so the rack
-    attribute is probed first.
-    """
-    if hasattr(system, "racks"):
-        servers = [srv for rack in system.racks for srv in rack.servers]
-    elif hasattr(system, "servers"):
-        servers = list(system.servers)
-    else:
-        servers = [system]
+    servers = system.leaves() if isinstance(system, Fabric) else [system]
     out: List[Tuple[object, int]] = []
     for srv in servers:
         if isinstance(srv, AltocumulusSystem):

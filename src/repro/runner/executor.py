@@ -83,13 +83,13 @@ def _build_point(spec: PointSpec):
 
     The serial build is the historical one: fresh simulator, seeded
     streams, ``builder(sim, streams)``.  With ``spec.shards > 1`` that
-    very build serves as a *probe*: if it produced a
-    :class:`~repro.datacenter.topology.Datacenter`, the system is
-    rebuilt from its config behind a window coordinator
-    (:mod:`repro.datacenter.sharded`, bit-identical results); anything
-    else cannot be partitioned at the spine, and the probe -- already
-    the exact serial build -- is used as-is, so a globally stamped
-    ``--shards`` never breaks a mixed sweep.
+    very build serves as a *probe*: if it produced a fabric of fabrics
+    (a :class:`~repro.cluster.fabric.Fabric` of depth >= 2, such as a
+    datacenter), the system is rebuilt from its config behind a window
+    coordinator (:mod:`repro.datacenter.sharded`, bit-identical
+    results); anything else cannot be partitioned at a top switch, and
+    the probe -- already the exact serial build -- is used as-is, so a
+    globally stamped ``--shards`` never breaks a mixed sweep.
     """
     request_factory = None
     sim = Simulator()
@@ -100,19 +100,19 @@ def _build_point(spec: PointSpec):
     else:
         system = built
     if spec.shards > 1 and request_factory is None:
-        from repro.datacenter.topology import Datacenter
+        from repro.cluster.fabric import Fabric
 
-        if isinstance(system, Datacenter):
+        if isinstance(system, Fabric) and system.depth >= 2:
             from repro.datacenter.sharded import build_sharded_topology
             from repro.sim.sharded import ShardedSimulator
 
             sim = ShardedSimulator()
             streams = RandomStreams(spec.seed)
-            # A shard cannot hold less than one rack; a globally
+            # A shard cannot hold less than one member; a globally
             # stamped shard count is clamped, not an error.
             system = build_sharded_topology(
                 sim, streams, system.config,
-                min(spec.shards, system.config.n_racks),
+                min(spec.shards, system.config.n_members),
             )
     return system, sim, streams, request_factory
 

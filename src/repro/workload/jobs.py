@@ -602,15 +602,15 @@ def make_gang_shadow(primary: Request, index: int) -> Request:
 
 
 def system_supports_gang(system) -> bool:
-    """True when ``system`` (recursively, for cluster/datacenter tiers)
-    admits multi-core gang jobs -- every leaf scheduler must declare
+    """True when ``system`` admits multi-core gang jobs -- it (or, for a
+    fabric of any depth, every leaf scheduler) declares
     ``supports_gang``."""
-    if getattr(system, "supports_gang", False):
-        return True
-    members = getattr(system, "servers", None)
-    if members:
-        return all(system_supports_gang(member) for member in members)
-    return False
+    # Imported here: repro.cluster imports this package's tenant model,
+    # so a module-scope import would cycle.
+    from repro.cluster.fabric import Fabric
+
+    leaves = system.leaves() if isinstance(system, Fabric) else [system]
+    return all(getattr(leaf, "supports_gang", False) for leaf in leaves)
 
 
 __all__ = [

@@ -133,6 +133,12 @@ class TenantMix:
         """First connection id owned by ``tenant``."""
         return int(self._offsets[tenant])
 
+    def owns(self, connection: int) -> bool:
+        """True when ``connection`` lies in some tenant's block.  Traffic
+        outside the pool (a workload not drawn from the tenant pool)
+        belongs to no tenant."""
+        return 0 <= connection < self.total_connections
+
     def tenant_of(self, connection: int) -> int:
         """Index of the tenant owning ``connection``."""
         if not 0 <= connection < self.total_connections:
@@ -270,7 +276,8 @@ def tenant_slo_summary(
     Returns ``{tenant_name: {completed, slo_met, attainment, p50_ns,
     p99_ns}}``.  Attainment is the fraction of the tenant's completed
     requests with latency at or under its ``slo_ns`` (1.0 for a tenant
-    that saw no traffic: an idle tenant has no violations).
+    that saw no traffic: an idle tenant has no violations).  Requests on
+    connections the mix does not own are charged to no tenant.
     """
     # Imported here: the analysis package itself imports the workload
     # package (request records), so a module-scope import would cycle.
@@ -278,7 +285,7 @@ def tenant_slo_summary(
 
     buckets: List[List[Request]] = [[] for _ in mix.tenants]
     for r in requests:
-        if r.finished is None:
+        if r.finished is None or not mix.owns(r.connection):
             continue
         buckets[mix.tenant_of(r.connection)].append(r)
     out: Dict[str, Dict[str, float]] = {}

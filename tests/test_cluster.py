@@ -12,8 +12,8 @@ from repro.cluster.policies import (
     ShortestExpectedWaitSteering,
     make_policy,
 )
-from repro.cluster.switch import ToRSwitch
-from repro.cluster.topology import RackConfig, build_rack
+from repro.cluster.switch import SwitchCore
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.request import Request
@@ -28,13 +28,13 @@ def _request(req_id=0, connection=0, size_bytes=300):
 
 class TestToRSwitch:
     def test_serialization_time_is_wire_time(self):
-        switch = ToRSwitch(Simulator(), n_ports=2, bandwidth_gbps=100.0)
+        switch = SwitchCore(Simulator(), n_ports=2, bandwidth_gbps=100.0)
         assert switch.serialization_ns(300) == pytest.approx(24.0)
         assert switch.serialization_ns(1500) == pytest.approx(120.0)
 
     def test_forward_pays_serialization_plus_latency(self):
         sim = Simulator()
-        switch = ToRSwitch(
+        switch = SwitchCore(
             sim, n_ports=1, bandwidth_gbps=100.0, forward_latency_ns=250.0
         )
         delivered = []
@@ -47,7 +47,7 @@ class TestToRSwitch:
 
     def test_same_port_requests_serialize_behind_each_other(self):
         sim = Simulator()
-        switch = ToRSwitch(
+        switch = SwitchCore(
             sim, n_ports=1, bandwidth_gbps=100.0, forward_latency_ns=0.0
         )
         delivered = []
@@ -68,7 +68,7 @@ class TestToRSwitch:
 
     def test_distinct_ports_do_not_contend(self):
         sim = Simulator()
-        switch = ToRSwitch(
+        switch = SwitchCore(
             sim, n_ports=2, bandwidth_gbps=100.0, forward_latency_ns=0.0
         )
         delivered = []
@@ -83,7 +83,7 @@ class TestToRSwitch:
     def test_full_port_tail_drops_and_accounts(self):
         sim = Simulator()
         drops = []
-        switch = ToRSwitch(
+        switch = SwitchCore(
             sim, n_ports=2, port_queue_depth=2,
             on_drop=lambda r, port: drops.append((r.req_id, port)),
         )
@@ -98,7 +98,7 @@ class TestToRSwitch:
 
     def test_dropped_request_is_marked(self):
         sim = Simulator()
-        switch = ToRSwitch(sim, n_ports=1, port_queue_depth=1)
+        switch = SwitchCore(sim, n_ports=1, port_queue_depth=1)
         victim = _request(1)
         switch.forward(_request(0), 0, lambda r: None)
         switch.forward(victim, 0, lambda r: None)
@@ -106,7 +106,7 @@ class TestToRSwitch:
 
     def test_buffer_slot_freed_after_transmit(self):
         sim = Simulator()
-        switch = ToRSwitch(sim, n_ports=1, port_queue_depth=1)
+        switch = SwitchCore(sim, n_ports=1, port_queue_depth=1)
         assert switch.forward(_request(0), 0, lambda r: None)
         assert switch.occupancy(0) == 1
         sim.run()
@@ -115,13 +115,13 @@ class TestToRSwitch:
 
     def test_unbounded_port_never_drops(self):
         sim = Simulator()
-        switch = ToRSwitch(sim, n_ports=1, port_queue_depth=None)
+        switch = SwitchCore(sim, n_ports=1, port_queue_depth=None)
         for i in range(1000):
             assert switch.forward(_request(i), 0, lambda r: None)
         assert switch.dropped == 0
 
     def test_port_out_of_range_rejected(self):
-        switch = ToRSwitch(Simulator(), n_ports=2)
+        switch = SwitchCore(Simulator(), n_ports=2)
         with pytest.raises(ValueError, match="port"):
             switch.forward(_request(), 2, lambda r: None)
 
@@ -133,7 +133,7 @@ class TestToRSwitch:
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            ToRSwitch(Simulator(), **kwargs)
+            SwitchCore(Simulator(), **kwargs)
 
 
 class TestSteeringPolicies:
@@ -301,7 +301,7 @@ class TestSteeringPolicies:
 
 class TestRackConfig:
     def test_capacity_and_core_accounting(self):
-        config = RackConfig(n_servers=4, cores_per_server=16)
+        config = FabricConfig.rack(n_servers=4, cores_per_server=16)
         assert config.total_cores == 64
         assert config.capacity_rps(1000.0) == pytest.approx(64e6)
 
@@ -312,7 +312,7 @@ class TestRackConfig:
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            RackConfig(**kwargs)
+            FabricConfig.rack(**kwargs)
 
 
 class TestRackCluster:
@@ -323,7 +323,7 @@ class TestRackCluster:
 
         sim = Simulator()
         streams = RandomStreams(seed)
-        rack = build_rack(sim, streams, config)
+        rack = build_fabric(sim, streams, config)
         return run_workload(
             rack, sim, streams,
             arrivals=PoissonArrivals(rate_rps),
@@ -343,7 +343,7 @@ class TestRackCluster:
         assert result.metrics["cluster.imbalance_index"] >= 1.0
 
     def test_every_offered_request_terminates(self):
-        config = RackConfig(
+        config = FabricConfig.rack(
             n_servers=4, cores_per_server=4, system="rss", policy="round_robin"
         )
         result = self._run_rack(config)
@@ -352,7 +352,7 @@ class TestRackCluster:
         assert rack.stats.completed + rack.stats.dropped == 2000
 
     def test_tiny_switch_buffers_drop_but_still_terminate(self):
-        config = RackConfig(
+        config = FabricConfig.rack(
             n_servers=2, cores_per_server=2, system="rss", policy="hash",
             port_queue_depth=4,
         )
@@ -366,18 +366,18 @@ class TestRackCluster:
     def test_outstanding_probe_counts_in_flight_work(self):
         sim = Simulator()
         streams = RandomStreams(1)
-        rack = build_rack(
+        rack = build_fabric(
             sim, streams,
-            RackConfig(n_servers=2, cores_per_server=2, system="rss",
+            FabricConfig.rack(n_servers=2, cores_per_server=2, system="rss",
                        policy="round_robin"),
         )
         assert rack.outstanding(0) == 0.0
-        rack.servers[0].stats.offered = 5
-        rack.servers[0].stats.completed = 2
+        rack.members[0].stats.offered = 5
+        rack.members[0].stats.completed = 2
         assert rack.outstanding(0) == 3.0
 
     def test_summary_reports_policy_telemetry(self):
-        config = RackConfig(
+        config = FabricConfig.rack(
             n_servers=2, cores_per_server=4, system="rss",
             policy="shortest_wait",
         )

@@ -4,7 +4,7 @@ tier exists to show, and sweep determinism of the fig_rack experiment."""
 import pytest
 
 from repro.api import run_workload
-from repro.cluster.topology import RackConfig, build_rack
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.runner import overrides
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -23,9 +23,9 @@ def _run_policy(policy, seed=3, **config_kwargs):
     """
     sim = Simulator()
     streams = RandomStreams(seed)
-    rack = build_rack(
+    rack = build_fabric(
         sim, streams,
-        RackConfig(n_servers=4, cores_per_server=4, system="rss",
+        FabricConfig.rack(n_servers=4, cores_per_server=4, system="rss",
                    policy=policy, **config_kwargs),
     )
     return run_workload(

@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.api import quick_run, run_workload
-from repro.cluster.topology import RackConfig, build_rack
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.control import (
     CONTROLLER_NAMES,
     AdminHealthView,
@@ -37,9 +37,9 @@ from repro.workload.service import Exponential
 
 
 def _rack(sim, streams, policy="power_of_d", n_servers=4, **kwargs):
-    return build_rack(
+    return build_fabric(
         sim, streams,
-        RackConfig(n_servers=n_servers, cores_per_server=4, system="rss",
+        FabricConfig.rack(n_servers=n_servers, cores_per_server=4, system="rss",
                    policy=policy, **kwargs),
     )
 

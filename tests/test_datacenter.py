@@ -6,9 +6,8 @@ and sweep determinism of the fig_datacenter experiment."""
 import pytest
 
 from repro.api import quick_run, run_workload
-from repro.cluster.topology import RackConfig
-from repro.datacenter.spine import SpineSwitch
-from repro.datacenter.topology import DatacenterConfig, build_topology
+from repro.cluster.fabric import FabricConfig, build_fabric
+from repro.cluster.switch import SwitchCore
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
 from repro.runner import overrides
 from repro.sim.engine import Simulator
@@ -38,8 +37,8 @@ class TestSpineArithmetic:
         # 400 Gb/s, one link: a 300 B request serializes in
         # 300 * 8 / 400 = 6 ns; the pipeline adds 500 ns flat.
         sim = Simulator()
-        spine = SpineSwitch(sim, n_ports=2, bandwidth_gbps=400.0,
-                            forward_latency_ns=500.0)
+        spine = SwitchCore(sim, n_ports=2, bandwidth_gbps=400.0,
+                           forward_latency_ns=500.0)
         delivered = []
         deliver = lambda r: delivered.append((r.req_id, sim.now))  # noqa: E731
 
@@ -56,18 +55,18 @@ class TestSpineArithmetic:
         # Only request 2 waited, exactly one serialization time.
         assert spine.queue_wait_ns == 6.0
 
-    def test_spine_links_multiply_port_bandwidth(self):
-        sim = Simulator()
-        spine = SpineSwitch(sim, n_ports=1, bandwidth_gbps=400.0,
-                            forward_latency_ns=500.0, spine_links=4)
-        assert spine.link_bandwidth_gbps == 400.0
-        assert spine.serialization_ns(300) == pytest.approx(1.5)  # 6 / 4
+    def test_port_bandwidth_sets_serialization(self):
+        # 1600 Gb/s (what four aggregated 400 GbE links used to model):
+        # a 300 B request serializes in 300 * 8 / 1600 = 1.5 ns.
+        spine = SwitchCore(Simulator(), n_ports=1, bandwidth_gbps=1600.0,
+                           forward_latency_ns=500.0)
+        assert spine.serialization_ns(300) == pytest.approx(1.5)
 
     def test_full_port_tail_drops(self):
         sim = Simulator()
         dropped = []
-        spine = SpineSwitch(sim, n_ports=1, port_queue_depth=2,
-                            on_drop=lambda r, p: dropped.append(r.req_id))
+        spine = SwitchCore(sim, n_ports=1, port_queue_depth=2,
+                           on_drop=lambda r, p: dropped.append(r.req_id))
         sink = []
         for i in range(3):
             spine.forward(_request(i), 0, sink.append)
@@ -82,14 +81,14 @@ class TestFabricConservation:
     def _run(self, n_requests=2000, tenants=()):
         sim = Simulator()
         streams = RandomStreams(5)
-        config = DatacenterConfig(
+        config = FabricConfig.datacenter(
             n_racks=2,
-            rack=RackConfig(n_servers=2, cores_per_server=2, system="rss",
+            rack=FabricConfig.rack(n_servers=2, cores_per_server=2, system="rss",
                             policy="round_robin"),
             policy="round_robin",
             tenants=tenants,
         )
-        dc = build_topology(sim, streams, config)
+        dc = build_fabric(sim, streams, config)
         result = run_workload(
             dc, sim, streams,
             arrivals=PoissonArrivals(4e6),  # 50% of 8 MRPS capacity
@@ -104,22 +103,22 @@ class TestFabricConservation:
         assert dc.stats.completed + dc.stats.dropped == dc.stats.offered
         # Nothing lost inside the fabric: everything offered crossed the
         # spine, landed in some rack, and terminated there.
-        assert dc.spine.forwarded == dc.stats.offered
-        assert dc.spine.partition_dropped == 0
-        assert sum(r.stats.offered for r in dc.racks) == dc.spine.forwarded
-        assert sum(r.stats.completed for r in dc.racks) == dc.stats.completed
+        assert dc.switch.forwarded == dc.stats.offered
+        assert dc.switch.partition_dropped == 0
+        assert sum(r.stats.offered for r in dc.members) == dc.switch.forwarded
+        assert sum(r.stats.completed for r in dc.members) == dc.stats.completed
 
     def test_round_robin_splits_racks_evenly(self):
         dc, _ = self._run()
-        offered = [r.stats.offered for r in dc.racks]
+        offered = [r.stats.offered for r in dc.members]
         assert offered == [1000, 1000]
 
     def test_latency_includes_both_fabric_hops(self):
         dc, result = self._run()
         # Lower bound on any completed request: spine serialization +
         # spine pipeline + ToR serialization + ToR pipeline + service.
-        spine_hop = dc.spine.serialization_ns(300) + dc.spine.forward_latency_ns
-        tor = dc.racks[0].switch
+        spine_hop = dc.switch.serialization_ns(300) + dc.switch.forward_latency_ns
+        tor = dc.members[0].switch
         tor_hop = tor.serialization_ns(300) + tor.forward_latency_ns
         floor = spine_hop + tor_hop
         assert all(r.latency > floor for r in result.requests)
@@ -149,11 +148,11 @@ def _run_policy(policy, seed=3, **config_kwargs):
     """A skewed, highly loaded 4-rack fabric under one inter-rack policy."""
     sim = Simulator()
     streams = RandomStreams(seed)
-    dc = build_topology(
+    dc = build_fabric(
         sim, streams,
-        DatacenterConfig(
+        FabricConfig.datacenter(
             n_racks=4,
-            rack=RackConfig(n_servers=2, cores_per_server=2, system="rss",
+            rack=FabricConfig.rack(n_servers=2, cores_per_server=2, system="rss",
                             policy="power_of_d", d=2),
             policy=policy,
             tenants=_SKEWED_TENANTS,
@@ -228,9 +227,9 @@ class TestTenantSloAccounting:
         instruments) must agree with the post-hoc request-set summary."""
         sim = Simulator()
         streams = RandomStreams(9)
-        dc = build_topology(sim, streams, DatacenterConfig(
+        dc = build_fabric(sim, streams, FabricConfig.datacenter(
             n_racks=2,
-            rack=RackConfig(n_servers=2, cores_per_server=2, system="rss"),
+            rack=FabricConfig.rack(n_servers=2, cores_per_server=2, system="rss"),
             policy="round_robin",
             tenants=_SKEWED_TENANTS,
         ))
@@ -241,11 +240,11 @@ class TestTenantSloAccounting:
             n_requests=2000,
             connections=TenantConnectionPool(TenantMix(_SKEWED_TENANTS)),
         )
-        summary = tenant_slo_summary(dc.finished_requests, dc.tenant_mix)
-        for i, tenant in enumerate(dc.tenant_mix.tenants):
-            assert dc.tenant_completed[i] == summary[tenant.name]["completed"]
-            assert dc.tenant_slo_met[i] == summary[tenant.name]["slo_met"]
-        assert sum(dc.tenant_completed) == dc.stats.completed
+        summary = tenant_slo_summary(dc.finished_requests, dc.tenant_slo.mix)
+        for i, tenant in enumerate(dc.tenant_slo.mix.tenants):
+            assert dc.tenant_slo.completed[i] == summary[tenant.name]["completed"]
+            assert dc.tenant_slo.slo_met[i] == summary[tenant.name]["slo_met"]
+        assert sum(dc.tenant_slo.completed) == dc.stats.completed
 
     def test_pool_sampling_is_chunk_invariant(self):
         """Batched connection draws must be bit-identical to scalar
@@ -299,9 +298,9 @@ class TestSpineFaults:
         drops the retrying client must recover."""
         sim = Simulator()
         streams = RandomStreams(11)
-        dc = build_topology(sim, streams, DatacenterConfig(
+        dc = build_fabric(sim, streams, FabricConfig.datacenter(
             n_racks=2,
-            rack=RackConfig(n_servers=2, cores_per_server=2, system="rss"),
+            rack=FabricConfig.rack(n_servers=2, cores_per_server=2, system="rss"),
             policy="hash",
         ))
         plan = FaultPlan(
@@ -319,10 +318,10 @@ class TestSpineFaults:
         inst = result.metrics
         assert inst["faults.spine_partitions"] == 1
         assert inst["faults.partition_dropped"] > 50
-        assert dc.spine.partition_dropped == inst["faults.partition_dropped"]
+        assert dc.switch.partition_dropped == inst["faults.partition_dropped"]
         # Silent losses never surface as switch tail-drops or rack
         # terminals; the client's timeouts absorb them.
-        assert dc.spine.dropped == 0
+        assert dc.switch.dropped == 0
         assert inst["client.retry.succeeded"] + inst[
             "client.retry.failed"] == 4000
 

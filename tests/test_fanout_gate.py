@@ -15,7 +15,7 @@ below are generous against incidental perturbation, not noise):
 import pytest
 
 from repro.api import run_workload
-from repro.cluster.topology import RackConfig, build_rack
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.schedulers.jbsq import ideal_cfcfs
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -33,7 +33,7 @@ SEED = 1
 def _rack_job_p99(policy: str, k: int) -> float:
     streams = RandomStreams(SEED)
     sim = Simulator()
-    rack = build_rack(sim, streams, RackConfig(
+    rack = build_fabric(sim, streams, FabricConfig.rack(
         n_servers=N_SERVERS, cores_per_server=CORES_PER_SERVER,
         policy=policy,
     ))

@@ -10,7 +10,7 @@ structural corners of the fault-injection subsystem itself.
 import pytest
 
 from repro.api import build_system, quick_run, run_workload
-from repro.cluster.topology import RackConfig, build_rack
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.core.config import AltocumulusConfig
 from repro.core.scheduler import AltocumulusSystem
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
@@ -199,7 +199,7 @@ class TestDegenerateFaultPlans:
         """Crash every server for the entire run: zero successes, every
         logical request burns its full retry budget, and the attempt
         ledger still balances."""
-        rack = build_rack(sim, streams, RackConfig(
+        rack = build_fabric(sim, streams, FabricConfig.rack(
             n_servers=2, cores_per_server=2, system="altocumulus",
             policy="power_of_d",
         ))
@@ -228,7 +228,7 @@ class TestDegenerateFaultPlans:
         recovery are idempotent level-sets (not nested counters), so the
         first recovery brings the server back and the second is a no-op.
         Both pairs are still fired and audited."""
-        rack = build_rack(sim, streams, RackConfig(
+        rack = build_fabric(sim, streams, FabricConfig.rack(
             n_servers=2, cores_per_server=2, system="altocumulus",
             policy="power_of_d",
         ))

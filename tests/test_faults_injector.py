@@ -5,7 +5,7 @@ healthy state when the window closes."""
 import pytest
 
 from repro.api import build_system, quick_run, run_workload
-from repro.cluster.topology import RackConfig, build_rack
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -31,7 +31,7 @@ def run_faulted(system, sim, streams, plan, n=600, rate=4e6):
 
 
 def make_rack(sim, streams, n_servers=4, policy="power_of_d"):
-    return build_rack(sim, streams, RackConfig(
+    return build_fabric(sim, streams, FabricConfig.rack(
         n_servers=n_servers, cores_per_server=2, system="altocumulus",
         policy=policy,
     ))

@@ -22,9 +22,8 @@ from typing import Optional
 import pytest
 
 from repro.api import run_workload
-from repro.cluster.topology import RackConfig
+from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.datacenter.sharded import build_sharded_topology
-from repro.datacenter.topology import DatacenterConfig, build_topology
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -68,10 +67,10 @@ FAULT_PLAN = FaultPlan(
 )
 
 
-def _config(tenants: bool = False) -> DatacenterConfig:
-    return DatacenterConfig(
+def _config(tenants: bool = False) -> FabricConfig:
+    return FabricConfig.datacenter(
         n_racks=N_RACKS,
-        rack=RackConfig(
+        rack=FabricConfig.rack(
             n_servers=2,
             cores_per_server=4,
             system="altocumulus",
@@ -93,7 +92,7 @@ def _run(
     streams = RandomStreams(SEED)
     if shards is None:
         sim = Simulator()
-        system = build_topology(sim, streams, config)
+        system = build_fabric(sim, streams, config)
     else:
         sim = ShardedSimulator()
         system = build_sharded_topology(sim, streams, config, shards,

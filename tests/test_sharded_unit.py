@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.topology import RackConfig
+from repro.cluster.fabric import FabricConfig
 from repro.datacenter.sharded import (
     MirrorRack,
     ShardedDatacenter,
     build_sharded_topology,
 )
-from repro.datacenter.topology import DatacenterConfig
 from repro.runner import ShardedRunner
 from repro.runner.spec import PointSpec, SweepSpec, ref
 from repro.sim.engine import SimulationError, Simulator
@@ -30,10 +29,10 @@ from repro.workload.request import Request
 def _config(**overrides):
     defaults = dict(
         n_racks=4,
-        rack=RackConfig(n_servers=2, cores_per_server=2),
+        rack=FabricConfig.rack(n_servers=2, cores_per_server=2),
     )
     defaults.update(overrides)
-    return DatacenterConfig(**defaults)
+    return FabricConfig.datacenter(**defaults)
 
 
 def _request(req_id: int = 0) -> Request:
@@ -130,11 +129,11 @@ def test_window_driver_rejects_zero_lookahead():
 
 def test_lookahead_is_spine_min_transit():
     sim = ShardedSimulator()
-    config = _config(spine_forward_latency_ns=750.0)
+    config = _config(forward_latency_ns=750.0)
     system = build_sharded_topology(
         sim, RandomStreams(1), config, 2, mode="inprocess"
     )
-    assert system.window_ns == system.spine.min_transit_ns(0)
+    assert system.window_ns == system.switch.min_transit_ns(0)
     assert system.window_ns == 750.0
     system.shutdown()
 
@@ -189,7 +188,7 @@ class TestMirrorRack:
 class TestBuildValidation:
     def test_shards_out_of_range(self):
         config = _config()
-        for bad in (0, -1, config.n_racks + 1):
+        for bad in (0, -1, config.n_members + 1):
             with pytest.raises(ValueError, match="shards"):
                 build_sharded_topology(
                     ShardedSimulator(), RandomStreams(1), config, bad
@@ -209,7 +208,7 @@ class TestBuildValidation:
             )
 
     def test_zero_lookahead_config_rejected(self):
-        config = _config(spine_forward_latency_ns=0.0)
+        config = _config(forward_latency_ns=0.0)
         with pytest.raises(ValueError, match="lookahead"):
             build_sharded_topology(
                 ShardedSimulator(), RandomStreams(1), config, 2,

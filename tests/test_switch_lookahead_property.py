@@ -5,7 +5,7 @@ rests on one switch property: a request entering
 :meth:`~repro.cluster.switch.SwitchCore.forward` at time ``t`` is never
 delivered before ``t`` plus the switch's computed per-link minimum
 delay.  This test drives randomized topologies (ports, bandwidth,
-forwarding latency, queue depth, spine link aggregation) through
+forwarding latency, queue depth, tier label) through
 randomized traffic and fault schedules (port degrades in ``(0, 1]``,
 partitions, heals) and checks the floor on **every** delivered message.
 
@@ -25,8 +25,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.switch import SwitchCore, ToRSwitch
-from repro.datacenter.spine import SpineSwitch
+from repro.cluster.switch import SwitchCore
 from repro.sim.engine import Simulator
 from repro.workload.request import Request
 
@@ -52,25 +51,17 @@ _ACTIONS = st.lists(
 def _switches(draw):
     sim = Simulator()
     n_ports = draw(st.integers(min_value=1, max_value=6))
-    bandwidth = draw(st.floats(min_value=0.5, max_value=800.0,
+    bandwidth = draw(st.floats(min_value=0.5, max_value=3_200.0,
                                allow_nan=False, allow_infinity=False))
     latency = draw(st.floats(min_value=0.0, max_value=2_000.0,
                              allow_nan=False, allow_infinity=False))
     depth = draw(st.one_of(st.none(), st.integers(min_value=1,
                                                   max_value=4)))
-    flavor = draw(st.sampled_from(["core", "tor", "spine"]))
-    if flavor == "spine":
-        switch = SpineSwitch(
-            sim, n_ports, bandwidth_gbps=bandwidth,
-            forward_latency_ns=latency, port_queue_depth=depth,
-            spine_links=draw(st.integers(min_value=1, max_value=4)),
-        )
-    else:
-        cls = ToRSwitch if flavor == "tor" else SwitchCore
-        switch = cls(
-            sim, n_ports, bandwidth_gbps=bandwidth,
-            forward_latency_ns=latency, port_queue_depth=depth,
-        )
+    switch = SwitchCore(
+        sim, n_ports, bandwidth_gbps=bandwidth,
+        forward_latency_ns=latency, port_queue_depth=depth,
+        track=draw(st.sampled_from(["switch", "tor", "spine"])),
+    )
     return sim, switch
 
 
