@@ -173,3 +173,28 @@ def test_migration_plan_rate(benchmark):
 
     migrates = benchmark(spin)
     assert migrates >= 0
+
+
+def test_zygos_steal_rate(benchmark):
+    """ZygOS idle-thief probing at moderate load: the incremental idle
+    mask and backlog count plus stream-exact victim draws (no per-probe
+    numpy call or core scan).  Ungated: tracked in the history only."""
+
+    def run():
+        return quick_run(system="zygos", n_cores=64, rate_rps=40e6,
+                         mean_service_ns=1000, n_requests=5_000, seed=2)
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.latency.count > 0
+
+
+def test_power_of_d_steering_rate(benchmark):
+    """Power-of-2 rack steering: one stream-exact no-replacement draw
+    per request instead of numpy's ``Generator.choice``.  Ungated."""
+
+    def run():
+        return quick_run(system="rack", n_cores=64, rate_rps=48e6,
+                         mean_service_ns=1000, n_requests=5_000, seed=2)
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.latency.count > 0

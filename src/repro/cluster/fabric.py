@@ -300,7 +300,7 @@ class Fabric:
             n_servers=config.n_members,
             probe=self.outstanding,
             sim=sim,
-            rng=streams.get("steering"),
+            rng=streams.draws("steering"),
             cores_per_server=config.member_cores,
             d=config.d,
             staleness_ns=config.staleness_ns,

@@ -51,10 +51,9 @@ from __future__ import annotations
 import abc
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from repro.faults.health import ALL_HEALTHY
 from repro.sim.engine import Event, Simulator
+from repro.sim.rng import ExactDraws
 from repro.workload.request import Request
 
 #: Policy-name registry; values are the constructor names accepted by
@@ -204,7 +203,7 @@ class PowerOfDSteering(SteeringPolicy):
         self,
         n_servers: int,
         probe: ProbeFn,
-        rng: np.random.Generator,
+        rng: ExactDraws,
         sim: Simulator,
         d: int = DEFAULT_D,
         staleness_ns: float = 0.0,
@@ -246,10 +245,7 @@ class PowerOfDSteering(SteeringPolicy):
     def _candidates(self) -> List[int]:
         if self.d >= self.n_servers:
             return list(range(self.n_servers))
-        return [
-            int(i)
-            for i in self.rng.choice(self.n_servers, size=self.d, replace=False)
-        ]
+        return self.rng.choice(self.n_servers, self.d, replace=False)
 
     def _estimate(self, server: int) -> float:
         now = self.sim.now
@@ -269,8 +265,7 @@ class PowerOfDSteering(SteeringPolicy):
         if self.d >= len(usable):
             return usable
         return [
-            usable[int(i)]
-            for i in self.rng.choice(len(usable), size=self.d, replace=False)
+            usable[i] for i in self.rng.choice(len(usable), self.d, replace=False)
         ]
 
     def _pick(self, request: Request) -> int:
@@ -413,7 +408,7 @@ def make_policy(
     n_servers: int,
     probe: ProbeFn,
     sim: Simulator,
-    rng: np.random.Generator,
+    rng: ExactDraws,
     cores_per_server: int,
     d: int = DEFAULT_D,
     staleness_ns: float = 0.0,

@@ -328,8 +328,9 @@ class Actuators:
         """Replace the system's top-level steering policy at runtime.
 
         Rebuilt through the same :func:`make_policy` registry and the
-        same ``"steering"`` RNG stream the construction-time policy
-        used; cumulative decision counts and telemetry counters carry
+        same ``"steering"`` stream reader the construction-time policy
+        used (``draws()`` returns one instance per stream, so the
+        rebuilt policy continues its predecessor's draws); cumulative decision counts and telemetry counters carry
         over so bound ``steer_*`` instruments stay valid and monotonic,
         and the current health view (admin overlay included) transplants
         onto the replacement.
@@ -349,7 +350,7 @@ class Actuators:
             n_servers=len(self._units),
             probe=self.system.outstanding,
             sim=self.sim,
-            rng=self._streams.get("steering"),
+            rng=self._streams.draws("steering"),
             cores_per_server=self.unit_cores,
             d=int(base.get("d", getattr(config, "d", 2))),
             staleness_ns=base.get("staleness_ns", config.staleness_ns),

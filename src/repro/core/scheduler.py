@@ -91,7 +91,7 @@ class AltocumulusSystem(RpcSystem):
             registry=self.metrics,
         )
         self.steering = RssSteering(
-            g, policy=config.steering_policy, rng=streams.get("rss")
+            g, policy=config.steering_policy, rng=streams.draws("rss")
         )
         self.interface = HwInterface.of(config.interface, constants)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
+from repro.sim.rng import ExactDraws
 
 
 class CoherenceModel:
@@ -30,7 +31,7 @@ class CoherenceModel:
         (deterministic floor: 70 cycles)."""
         return self.constants.coherence_msg_ns
 
-    def steal_ns(self, rng: np.random.Generator) -> float:
+    def steal_ns(self, rng: ExactDraws | np.random.Generator) -> float:
         """One work-stealing operation: find + fetch pending requests
         from a remote queue (2-3 cache misses, uniform 200-400 ns)."""
         c = self.constants

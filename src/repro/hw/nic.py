@@ -18,10 +18,9 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-import numpy as np
-
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
 from repro.hw.pcie import PcieLink
+from repro.sim.rng import ExactDraws
 from repro.workload.connections import ConnectionPool
 from repro.workload.request import Request
 
@@ -108,7 +107,7 @@ class RssSteering:
         self,
         n_queues: int,
         policy: str = "connection",
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[ExactDraws] = None,
         pool: Optional[ConnectionPool] = None,
     ) -> None:
         if n_queues <= 0:
@@ -129,7 +128,7 @@ class RssSteering:
             return self.pool.hash_to_queue(request.connection, self.n_queues)
         if self.policy == "random":
             assert self.rng is not None
-            return int(self.rng.integers(0, self.n_queues))
+            return self.rng.integers(0, self.n_queues)
         # round_robin
         queue = self._rr_next
         self._rr_next = (self._rr_next + 1) % self.n_queues

@@ -43,7 +43,7 @@ class RssSystem(RpcSystem):
         super().__init__(sim, streams, n_cores, delivery, constants)
         self.queues: List[Deque[Request]] = [deque() for _ in range(n_cores)]
         self.steering = RssSteering(
-            n_cores, policy=steering_policy, rng=streams.get("rss")
+            n_cores, policy=steering_policy, rng=streams.draws("rss")
         )
         self.per_request_overhead_ns = float(per_request_overhead_ns)
 

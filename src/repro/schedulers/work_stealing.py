@@ -17,7 +17,7 @@ queue it lands on, whether or not that request was in danger.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Deque, Optional
 
 from repro.hw.coherence import CoherenceModel
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
@@ -60,22 +60,30 @@ class ZygosSystem(RssSystem):
         self.coherence = CoherenceModel(constants)
         self.probe_ns = float(probe_ns)
         self.max_probes = int(max_probes)
-        self._steal_rng = streams.get("steal")
-        #: Cores currently mid-probe (idle but committed to a probe event).
-        self._probing: Set[int] = set()
+        self._draws = streams.draws("steal")
+        #: Bit ``i`` set while core ``i`` is neither busy nor probing.
+        #: Such a core's own queue is always empty: arrivals start it
+        #: directly and it only goes idle after draining its queue.
+        self._idle = (1 << n_cores) - 1
+        #: Number of non-empty receive queues.
+        self._backlog = 0
         self.steal_attempts = 0
         self.steal_hits = 0
 
     # ------------------------------------------------------------------
     def _deliver(self, request: Request) -> None:
         idx = self.steering.pick_queue(request)
-        queue = self.queues[idx]
         request.enqueued = self.sim.now
-        request.queue_len_at_arrival = len(queue) + (1 if self.cores[idx].busy else 0)
-        core = self.cores[idx]
-        if not core.busy and core.core_id not in self._probing and not queue:
-            self._start(core, request)
+        bit = 1 << idx
+        if self._idle & bit:
+            request.queue_len_at_arrival = 0
+            self._idle ^= bit
+            self._start(self.cores[idx], request)
             return
+        queue = self.queues[idx]
+        request.queue_len_at_arrival = len(queue) + (1 if self.cores[idx].busy else 0)
+        if not queue:
+            self._backlog += 1
         queue.append(request)
         # Wake one genuinely idle core to come steal this queue's backlog.
         thief = self._find_idle_thief()
@@ -85,53 +93,60 @@ class ZygosSystem(RssSystem):
     def _after_complete(self, core: Core, request: Request) -> None:
         queue = self.queues[core.core_id]
         if queue:
-            self._start(core, queue.popleft())
+            self._start(core, self._pop(queue))
         else:
+            self._idle |= 1 << core.core_id
             self._begin_probe(core, probes_left=self.max_probes)
+
+    def _pop(self, queue: Deque[Request]) -> Request:
+        request = queue.popleft()
+        if not queue:
+            self._backlog -= 1
+        return request
 
     # ------------------------------------------------------------------
     # Stealing machinery
     # ------------------------------------------------------------------
     def _find_idle_thief(self) -> Optional[Core]:
-        for core in self.cores:
-            if not core.busy and core.core_id not in self._probing:
-                if not self.queues[core.core_id]:
-                    return core
-        return None
+        """The lowest-id core that is neither busy nor probing."""
+        idle = self._idle
+        if not idle:
+            return None
+        return self.cores[(idle & -idle).bit_length() - 1]
 
     def _begin_probe(self, thief: Core, probes_left: int) -> None:
         """Start one random-victim probe; each probe costs a cache miss."""
-        if thief.busy or thief.core_id in self._probing:
-            return
-        if not any(self.queues[i] for i in range(len(self.cores)) if i != thief.core_id):
+        bit = 1 << thief.core_id
+        # An idle thief's own queue is empty, so any backlog is remote.
+        if not self._idle & bit or not self._backlog:
             return  # nothing to steal anywhere; stay idle until woken
-        self._probing.add(thief.core_id)
+        self._idle ^= bit
         self.steal_attempts += 1
-        victim = int(self._steal_rng.integers(0, len(self.cores)))
+        n_cores = len(self.cores)
+        victim = self._draws.integers(0, n_cores)
         if victim == thief.core_id:
-            victim = (victim + 1) % len(self.cores)
+            victim = (victim + 1) % n_cores
         self.sim.schedule(self.probe_ns, self._finish_probe, thief, victim, probes_left)
 
     def _finish_probe(self, thief: Core, victim: int, probes_left: int) -> None:
-        self._probing.discard(thief.core_id)
-        # Local work may have arrived while probing; prefer it.
+        # A probing core is never started meanwhile (its idle bit is
+        # clear), but local work may have queued behind it; prefer it.
         own = self.queues[thief.core_id]
-        if thief.busy:
-            return
         if own:
-            self._start(thief, own.popleft())
+            self._start(thief, self._pop(own))
             return
         vqueue = self.queues[victim]
         if vqueue:
-            request = vqueue.popleft()
+            request = self._pop(vqueue)
             request.steals += 1
             self.steal_hits += 1
-            cost = self.coherence.steal_ns(self._steal_rng)
+            cost = self.coherence.steal_ns(self._draws)
             self._charge_scheduling(cost)
             # A stolen request still pays the dataplane's per-request
             # stack work on the thief core.
             thief.assign(request, startup_ns=cost + self.per_request_overhead_ns)
             return
+        self._idle |= 1 << thief.core_id
         if probes_left > 1:
             self._begin_probe(thief, probes_left - 1)
 

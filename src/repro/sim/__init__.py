@@ -3,13 +3,13 @@
 This package provides the substrate every other subsystem runs on: a
 nanosecond-resolution event heap (:class:`~repro.sim.engine.Simulator`),
 cancellable events, periodic timers, and deterministic named random
-streams.  The paper's methodology (Sec. VII-B) is a Pin/ZSim-based
+streams (read through numpy or the stream-exact :class:`~repro.sim.rng.ExactDraws`).  The paper's methodology (Sec. VII-B) is a Pin/ZSim-based
 microarchitectural simulator; this kernel is the Python substitute that
 reproduces the queueing behaviour all evaluated metrics derive from.
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import ExactDraws, RandomStreams
 from repro.sim.timer import PeriodicTimer
 from repro.sim.units import NS, US, MS, SEC, GHZ, cycles_to_ns, ns_to_cycles
 
@@ -18,6 +18,7 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "RandomStreams",
+    "ExactDraws",
     "PeriodicTimer",
     "NS",
     "US",

@@ -156,7 +156,7 @@ class TestSteeringPolicies:
         loads = [10.0, 0.0]
         policy = PowerOfDSteering(
             2, probe=lambda i: loads[i],
-            rng=RandomStreams(1).get("steering"), sim=sim, d=2,
+            rng=RandomStreams(1).draws("steering"), sim=sim, d=2,
         )
         assert policy.pick_server(_request()) == 1
 
@@ -166,7 +166,7 @@ class TestSteeringPolicies:
         # but stale estimates make consecutive sends spread out anyway.
         policy = PowerOfDSteering(
             2, probe=lambda i: 0.0,
-            rng=RandomStreams(1).get("steering"), sim=sim, d=2,
+            rng=RandomStreams(1).draws("steering"), sim=sim, d=2,
             staleness_ns=1e12,
         )
         picks = [policy.pick_server(_request(i)) for i in range(8)]
@@ -181,7 +181,7 @@ class TestSteeringPolicies:
             return 0.0
 
         policy = PowerOfDSteering(
-            2, probe=probe, rng=RandomStreams(1).get("steering"), sim=sim,
+            2, probe=probe, rng=RandomStreams(1).draws("steering"), sim=sim,
             d=2, staleness_ns=100.0,
         )
         policy.pick_server(_request(0))
@@ -195,7 +195,7 @@ class TestSteeringPolicies:
     def test_power_of_d_with_zero_staleness_always_probes(self):
         sim = Simulator()
         policy = PowerOfDSteering(
-            2, probe=lambda i: float(i), rng=RandomStreams(1).get("steering"),
+            2, probe=lambda i: float(i), rng=RandomStreams(1).draws("steering"),
             sim=sim, d=2, staleness_ns=0.0,
         )
         for i in range(5):
@@ -205,7 +205,7 @@ class TestSteeringPolicies:
     def test_power_of_d_subsamples_when_d_below_n(self):
         sim = Simulator()
         policy = PowerOfDSteering(
-            8, probe=lambda i: 0.0, rng=RandomStreams(1).get("steering"),
+            8, probe=lambda i: 0.0, rng=RandomStreams(1).draws("steering"),
             sim=sim, d=2, staleness_ns=0.0,
         )
         for i in range(200):
@@ -260,7 +260,7 @@ class TestSteeringPolicies:
 
     def test_make_policy_builds_each_registered_name(self):
         sim = Simulator()
-        rng = RandomStreams(1).get("steering")
+        rng = RandomStreams(1).draws("steering")
         expectations = {
             "hash": ConnectionHashSteering,
             "round_robin": RoundRobinSteering,
@@ -279,7 +279,7 @@ class TestSteeringPolicies:
         with pytest.raises(ValueError, match="unknown steering policy"):
             make_policy(
                 "random", n_servers=2, probe=lambda i: 0.0, sim=Simulator(),
-                rng=RandomStreams(1).get("steering"), cores_per_server=4,
+                rng=RandomStreams(1).draws("steering"), cores_per_server=4,
             )
 
     @pytest.mark.parametrize("kwargs", [
@@ -290,7 +290,7 @@ class TestSteeringPolicies:
         with pytest.raises(ValueError):
             PowerOfDSteering(
                 2, probe=lambda i: 0.0,
-                rng=RandomStreams(1).get("steering"), sim=Simulator(),
+                rng=RandomStreams(1).draws("steering"), sim=Simulator(),
                 **kwargs,
             )
 

@@ -265,6 +265,20 @@ class TestActuators:
         assert rack.policy.d == 2
         assert rack.policy.staleness_ns == 2000.0
 
+    def test_swap_round_trip_continues_the_steering_draws(self, sim, streams):
+        """power_of_d -> shortest_wait -> power_of_d hands the rebuilt
+        policy the very reader the original drew from, so it continues
+        the stream instead of restarting or skipping it."""
+        rack = _rack(sim, streams, d=2)
+        act = self._actuators(sim, streams, rack)
+        original = rack.policy.rng
+        assert original is streams.draws("steering")
+        _run(rack, sim, streams, n_requests=300)
+        assert act.swap_policy("shortest_wait")
+        assert act.swap_policy("power_of_d")
+        assert rack.policy.name == "power_of_d"
+        assert rack.policy.rng is original
+
     def test_swap_transplants_admin_overlay(self, sim, streams):
         rack = _rack(sim, streams)
         act = self._actuators(sim, streams, rack)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hw.nic import HwTerminatedDelivery, PcieDelivery, RssSteering
+from repro.sim.rng import ExactDraws, RandomStreams
 from tests.conftest import make_request
 
 
@@ -42,9 +43,19 @@ class TestSteering:
 
     def test_random_policy_covers_queues(self):
         steering = RssSteering(4, policy="random",
-                               rng=np.random.default_rng(0))
+                               rng=ExactDraws(np.random.PCG64(0)))
         picks = {steering.pick_queue(make_request()) for _ in range(200)}
         assert picks == {0, 1, 2, 3}
+
+    def test_random_policy_matches_generator_scalar_draws(self):
+        """10k random-steered picks equal the numpy Generator's scalar
+        integers() sequence on the same stream (6 queues: the Lemire
+        rejection path is live)."""
+        steering = RssSteering(6, policy="random",
+                               rng=RandomStreams(3).draws("rss"))
+        rng = RandomStreams(3).get("rss")
+        picks = [steering.pick_queue(make_request()) for _ in range(10_000)]
+        assert picks == [int(rng.integers(0, 6)) for _ in range(10_000)]
 
     def test_random_requires_rng(self):
         with pytest.raises(ValueError):

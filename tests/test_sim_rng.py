@@ -68,3 +68,36 @@ class TestValidation:
 
     def test_zero_seed_allowed(self):
         assert RandomStreams(0).get("x") is not None
+
+
+class TestExactDrawsStreams:
+    def test_draws_is_cached_per_name(self):
+        streams = RandomStreams(7)
+        assert streams.draws("x") is streams.draws("x")
+        assert streams.draws("x") is not streams.draws("y")
+
+    def test_draws_reads_the_same_stream_as_get(self):
+        draws = RandomStreams(7).draws("steal")
+        rng = RandomStreams(7).get("steal")
+        assert [draws.integers(0, 63) for _ in range(100)] == [
+            int(rng.integers(0, 63)) for _ in range(100)
+        ]
+        assert draws.uniform(200.0, 400.0) == rng.uniform(200.0, 400.0)
+
+    def test_get_after_draws_rejected(self):
+        streams = RandomStreams(7)
+        streams.draws("steering")
+        with pytest.raises(ValueError, match="draws"):
+            streams.get("steering")
+
+    def test_draws_after_get_rejected(self):
+        streams = RandomStreams(7)
+        streams.get("rss")
+        with pytest.raises(ValueError, match="get"):
+            streams.draws("rss")
+
+    def test_other_names_stay_independent_of_the_guard(self):
+        streams = RandomStreams(7)
+        streams.draws("a")
+        assert streams.get("b") is streams.get("b")
+        assert streams.draws("a") is streams.draws("a")
