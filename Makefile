@@ -64,7 +64,7 @@ datacenter-fast:
 ## Reduced-scale adaptive control-plane study (the fig_adaptive
 ## experiment): every static steering policy vs the hysteresis and
 ## bandit controllers across three chaos scenarios and a drifting
-## multi-tenant load.  Controllers force serial uncached execution.
+## multi-tenant load.
 adaptive-fast:
 	$(PYTHON) -m repro.experiments.cli adaptive --scale 0.2 --jobs 1 --no-cache --out results/
 

@@ -19,7 +19,6 @@ from repro.analysis.tables import format_table
 from repro.analysis.ascii_plot import bar_chart, line_chart
 from repro.analysis.timeline import RequestTimeline, TimelineRecorder
 from repro.analysis.validation import validate_simulator
-from repro.analysis.stats import confidence_interval, overlapping, seed_sweep
 
 __all__ = [
     "LatencySummary",
@@ -37,7 +36,4 @@ __all__ = [
     "TimelineRecorder",
     "RequestTimeline",
     "validate_simulator",
-    "confidence_interval",
-    "seed_sweep",
-    "overlapping",
 ]

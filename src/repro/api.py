@@ -23,8 +23,8 @@ from repro.analysis.metrics import (
 from repro.analysis.slo import violation_ratio
 from repro.cluster.fabric import FabricConfig, build_fabric
 from repro.core.config import AltocumulusConfig
-from repro.control import ControlConfig, ControlLoop, active_control_config
-from repro.faults import FaultInjector, FaultPlan, RetryClient, active_fault_plan
+from repro.control import ControlConfig, ControlLoop
+from repro.faults import FaultInjector, FaultPlan, RetryClient
 from repro.core.scheduler import AltocumulusSystem
 from repro.hw.constants import DEFAULT_CONSTANTS
 from repro.hw.nic import PcieDelivery
@@ -212,6 +212,40 @@ def build_system(
     return _BUILDERS[name](sim, streams, n_cores)
 
 
+def check_composition(
+    shards: Optional[int] = None,
+    control: Optional[ControlConfig] = None,
+    kvs: Optional[KvsSpec] = None,
+    request_factory: Optional[Callable[..., Any]] = None,
+) -> None:
+    """Reject run layers that do not compose; every run entry point
+    (:func:`run_workload`, :func:`quick_run`, the runner's
+    ``execute_point``) calls this one rule set.
+
+    ``shards`` is the sharded-execution shard count, ``None`` for the
+    serial engine.  A controller's global actuations (policy swaps,
+    admin drains) and a KVS's shared store would both break the shards'
+    isolation, and a KVS workload supplies its own request factory.
+    """
+    if shards is not None:
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1 (got {shards})")
+        if control is not None:
+            raise ValueError(
+                "controllers do not compose with sharded execution "
+                f"(shards={shards}, control={control.controller!r}); run "
+                "serially to attach a ControlConfig"
+            )
+        if kvs is not None:
+            raise ValueError(
+                "a KvsSpec does not compose with sharded execution "
+                f"(shards={shards}): the shared store would break the "
+                "shards' isolation; run serially to attach a data layer"
+            )
+    if kvs is not None and request_factory is not None:
+        raise ValueError("pass either kvs= or request_factory=, not both")
+
+
 def run_workload(
     system: RpcSystem,
     sim: Simulator,
@@ -236,7 +270,8 @@ def run_workload(
     ``request_factory`` and its ``execute`` hook runs each op against
     the store under the spec's concurrency discipline, surfacing
     ``kvs.*`` and ``kvs.ownership.*`` instruments in ``metrics``.
-    Mutually exclusive with an explicit ``request_factory``.
+    Mutually exclusive with an explicit ``request_factory`` (see
+    :func:`check_composition`).
 
     With a non-trivial :class:`~repro.workload.jobs.JobShape`,
     ``n_requests`` counts *jobs*: each scatters its fan-out of sibling
@@ -247,8 +282,7 @@ def run_workload(
     to the flat ``Request`` path bit-identically: no ``"jobs"`` stream
     draw, no tracker, nothing.
 
-    With a :class:`~repro.faults.FaultPlan` (passed explicitly, or
-    ambient via :func:`repro.faults.use_fault_plan`), a
+    With a :class:`~repro.faults.FaultPlan`, a
     :class:`~repro.faults.FaultInjector` drives the plan into the system
     and a :class:`~repro.faults.RetryClient` sits between the generator
     and the system: it owns delivery (timeouts, capped-backoff retries,
@@ -256,38 +290,39 @@ def run_workload(
     cost several attempts.  Without a plan this function is byte-for-byte
     the fault-free fast path.
 
-    With a :class:`~repro.control.ControlConfig` (passed explicitly, or
-    ambient via :func:`repro.control.use_controller`), a
+    With a :class:`~repro.control.ControlConfig`, a
     :class:`~repro.control.ControlLoop` senses the system's telemetry
     every control epoch and lets the configured controller actuate
     steering, threshold, drain, and capacity knobs mid-run.
     """
+    # A sharded coordinator fabric exposes its shard handles.
+    shard_handles = getattr(system, "shards", None)
+    check_composition(
+        shards=len(shard_handles) if shard_handles is not None else None,
+        control=control,
+        kvs=kvs,
+        request_factory=request_factory,
+    )
     if kvs is not None:
-        if request_factory is not None:
-            raise ValueError(
-                "pass either kvs= or request_factory=, not both"
-            )
         workload = wire_kvs(system, sim, kvs, seed=streams.master_seed)
         request_factory = workload.request_factory
-    plan = faults if faults is not None else active_fault_plan()
     injector: Optional[FaultInjector] = None
     client: Optional[RetryClient] = None
-    if plan is not None:
-        injector = FaultInjector(sim, streams, plan, system)
+    if faults is not None:
+        injector = FaultInjector(sim, streams, faults, system)
         client = RetryClient(
             sim,
             streams,
             system,
-            plan.retry,
+            faults.retry,
             ingress=injector.ingress,
             response_delivered=injector.response_delivered,
         )
-    control_cfg = control if control is not None else active_control_config()
     loop: Optional[ControlLoop] = None
-    if control_cfg is not None:
+    if control is not None:
         # Built after the injector so the loop senses the fault
         # instruments, before the generator so epoch 0 starts at t=0.
-        loop = ControlLoop(sim, streams, control_cfg, system)
+        loop = ControlLoop(sim, streams, control, system)
     sink = client.send if client is not None else system.offer
     tracker: Optional[JobTracker] = None
     if jobs is not None and not jobs.is_trivial:
@@ -419,23 +454,12 @@ def quick_run(
     bit-identical to the serial run.  ``shards=1`` is the sharded
     machinery with one shard (the overhead baseline), ``None`` (default)
     is the plain serial engine.  ``shard_mode`` is ``"process"`` or
-    ``"inprocess"``.  ``control`` attaches an adaptive control loop; it
-    does not compose with sharded execution (a controller's global
-    actuations would break the shards' conservative-lookahead contract).
+    ``"inprocess"``.  ``control`` attaches an adaptive control loop; see
+    :func:`check_composition` for the layers that do not compose.
     """
+    check_composition(shards=shards, control=control, kvs=kvs)
     streams = RandomStreams(seed)
     if shards is not None:
-        if kvs is not None:
-            raise ValueError(
-                "a KvsSpec does not compose with sharded execution: the "
-                "shared store would break the shards' isolation; pass "
-                "shards=None when kvs is set"
-            )
-        if control is not None:
-            raise ValueError(
-                "controllers do not compose with sharded execution: "
-                "pass shards=None when a ControlConfig is attached"
-            )
         if system != "datacenter":
             raise ValueError(
                 f"shards is only supported for system='datacenter', "

@@ -34,7 +34,6 @@ from repro.control.controllers import (
     make_controller,
 )
 from repro.control.loop import ControlLoop
-from repro.control.runtime import active_control_config, use_controller
 
 __all__ = [
     "Actuators",
@@ -48,7 +47,5 @@ __all__ = [
     "EpochObservation",
     "HysteresisController",
     "StaticController",
-    "active_control_config",
     "make_controller",
-    "use_controller",
 ]

@@ -1,9 +1,9 @@
 """The control loop: sensing -> decision -> actuation, every epoch.
 
 Built by :func:`repro.api.run_workload` when a
-:class:`~repro.control.config.ControlConfig` is attached (explicitly or
-ambient via :func:`repro.control.use_controller`), mirroring how the
-fault injector wires in.  The loop runs entirely on the simulated
+:class:`~repro.control.config.ControlConfig` is passed (a sweep carries
+it in ``PointSpec.control``), mirroring how the fault injector wires
+in.  The loop runs entirely on the simulated
 clock: a reusable engine timer fires every ``epoch_ns``, the loop
 distills what the epoch produced into one
 :class:`~repro.control.controllers.EpochObservation`, hands it to the

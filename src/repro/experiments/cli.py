@@ -131,15 +131,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--faults", default=None, metavar="PATH",
         help="inject a FaultPlan (JSON, see docs/faults.md) into every "
-             "run of the experiment; implies --jobs 1 and --no-cache so "
-             "the ambient plan reaches each in-process run",
+             "run of the experiment that does not set its own plan",
     )
     parser.add_argument(
         "--controller", default=None, metavar="NAME",
         help="attach an adaptive control loop to every run of the "
-             "experiment (static | hysteresis | bandit, see "
-             "docs/architecture.md); implies --jobs 1 and --no-cache so "
-             "the ambient controller reaches each in-process run",
+             "experiment that does not set its own (static | hysteresis "
+             "| bandit, see docs/architecture.md)",
     )
     parser.add_argument(
         "--control-epoch-ns", type=float, default=None, metavar="NS",
@@ -255,21 +253,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: --faults {args.faults}: {exc}", file=sys.stderr)
             return 2
 
-    capturing = (
-        args.trace is not None
-        or args.metrics_out is not None
-        or fault_plan is not None
-        or control_cfg is not None
-    )
+    # The run-shaping flags stamp PointSpec fields; a spec that sets its
+    # own value keeps it (see repro.runner.run_points).
+    spec_defaults = {}
+    if args.shards > 1:
+        spec_defaults["shards"] = args.shards
+    if fault_plan is not None:
+        spec_defaults["faults"] = fault_plan
+    if control_cfg is not None:
+        spec_defaults["control"] = control_cfg
+
+    capturing = args.trace is not None or args.metrics_out is not None
     if capturing:
-        # Worker processes have their own (inactive) capture/fault-plan/
-        # controller globals and cached points replay without executing,
-        # so telemetry capture, ambient fault plans, and ambient
-        # controllers all require fresh in-process execution.
+        # Worker processes have their own (inactive) capture globals and
+        # cached points replay without executing, so telemetry capture
+        # requires fresh in-process execution.
         if args.jobs not in (0, 1):
-            print("[--trace/--metrics-out/--faults/--controller force "
-                  "--jobs 1]",
-                  file=sys.stderr)
+            print("[--trace/--metrics-out force --jobs 1]", file=sys.stderr)
         args.jobs = 1
         args.no_cache = True
     if args.trace is not None and args.trace_sample < 1:
@@ -277,34 +277,18 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    from contextlib import nullcontext
-
     from repro.telemetry import TraceSink, capture
 
     sink = TraceSink(sample_every=args.trace_sample) if args.trace else None
 
-    if fault_plan is not None:
-        from repro.faults import use_fault_plan
-
-        plan_context = use_fault_plan(fault_plan)
-    else:
-        plan_context = nullcontext()
-
-    if control_cfg is not None:
-        from repro.control import use_controller
-
-        control_context = use_controller(control_cfg)
-    else:
-        control_context = nullcontext()
-
-    with plan_context, control_context, capture(
+    with capture(
         trace=sink, collect_metrics=args.metrics_out is not None
     ) as cap, overrides(
         jobs=1 if (args.profile or capturing) else args.jobs,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         progress=not args.no_progress,
-        shards=args.shards,
+        spec_defaults=spec_defaults,
     ):
         counters = get_config().counters
         for exp_id in ids:

@@ -5,9 +5,8 @@ Sweeps route through :mod:`repro.runner`: each (builder, rate, seed)
 point becomes a picklable :class:`~repro.runner.PointSpec`, so the CLI's
 ``--jobs`` fans figures out across worker processes and the
 content-addressed cache replays identical points instantly.  Builders
-passed as module-level callables (optionally ``functools.partial``) get
-this for free; closures still work but fall back to in-process serial
-execution, exactly as before the runner existed.
+and factories must be module-level callables (optionally
+``functools.partial``); closures raise :class:`~repro.runner.SpecError`.
 """
 
 from __future__ import annotations
@@ -18,14 +17,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.metrics import summarize_latencies
 from repro.analysis.tables import format_table
-from repro.api import SimulationResult, run_workload
-from repro.runner import PointSpec, SpecError, maybe_ref, ref, run_points
+from repro.runner import PointSpec, maybe_ref, ref, run_points
 from repro.schedulers.base import RpcSystem
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workload.arrivals import ArrivalProcess, MMPPArrivals, PoissonArrivals
+from repro.workload.arrivals import ArrivalProcess, MMPPArrivals
 from repro.workload.connections import ConnectionPool
 from repro.workload.request import Request
 from repro.workload.service import ServiceDistribution
@@ -108,40 +105,6 @@ class ExperimentResult:
 SystemBuilder = Callable[[Simulator, RandomStreams], RpcSystem]
 
 
-def run_once(
-    builder: SystemBuilder,
-    arrivals: ArrivalProcess,
-    service: ServiceDistribution,
-    n_requests: int,
-    seed: int = 1,
-    warmup_fraction: float = 0.1,
-    connections: Optional[ConnectionPool] = None,
-    request_factory: Optional[Callable[[Request], None]] = None,
-    size_bytes: int = 300,
-) -> SimulationResult:
-    """Build a fresh simulator + system and run one workload through it.
-
-    This is the in-process single-run primitive; sweeps that want
-    parallelism and caching go through :func:`repro.runner.run_points`
-    with :class:`~repro.runner.PointSpec` data instead.
-    """
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    system = builder(sim, streams)
-    return run_workload(
-        system,
-        sim,
-        streams,
-        arrivals,
-        service,
-        n_requests=n_requests,
-        warmup_fraction=warmup_fraction,
-        connections=connections,
-        request_factory=request_factory,
-        size_bytes=size_bytes,
-    )
-
-
 @dataclass
 class SweepPoint:
     """One (offered load, tail latency) sample of a latency-throughput curve."""
@@ -168,37 +131,30 @@ def latency_throughput_curve(
     """Sweep offered rates and collect the tail-latency curve.
 
     ``arrival_factory`` defaults to Poisson; pass e.g.
-    ``lambda r: MMPPArrivals(r)`` for the real-world pattern.  Fresh
+    :func:`real_world_arrivals` for the real-world pattern.  Fresh
     connections / request factories are created per point so state (like
     the MICA store) does not leak across loads.
 
-    When every callable is module-level (and therefore picklable), the
-    sweep is dispatched through :func:`repro.runner.run_points` and
-    obeys the process-wide ``--jobs`` / cache configuration; closures
-    fall back to the historical in-process serial loop with identical
-    results.
+    The sweep is dispatched through :func:`repro.runner.run_points` and
+    obeys the process-wide ``--jobs`` / cache configuration, so every
+    callable must be module-level: a lambda or closure raises
+    :class:`~repro.runner.SpecError`.
     """
-    try:
-        specs = [
-            PointSpec(
-                builder=ref(builder),
-                service=service,
-                rate_rps=float(rate),
-                n_requests=n_requests,
-                seed=seed,
-                arrivals=maybe_ref(arrival_factory),
-                connections=maybe_ref(connections),
-                request_factory=maybe_ref(request_factory_factory),
-                slo_ns=slo_ns,
-                tag=label,
-            )
-            for rate in rates_rps
-        ]
-    except SpecError:
-        return _serial_curve(
-            builder, rates_rps, service, n_requests, slo_ns, seed,
-            arrival_factory, connections, request_factory_factory,
+    specs = [
+        PointSpec(
+            builder=ref(builder),
+            service=service,
+            rate_rps=float(rate),
+            n_requests=n_requests,
+            seed=seed,
+            arrivals=maybe_ref(arrival_factory),
+            connections=maybe_ref(connections),
+            request_factory=maybe_ref(request_factory_factory),
+            slo_ns=slo_ns,
+            tag=label,
         )
+        for rate in rates_rps
+    ]
     return [
         SweepPoint(
             rate_rps=result.rate_rps,
@@ -209,45 +165,6 @@ def latency_throughput_curve(
         )
         for result in run_points(specs, label=label)
     ]
-
-
-def _serial_curve(
-    builder: SystemBuilder,
-    rates_rps: Sequence[float],
-    service: ServiceDistribution,
-    n_requests: int,
-    slo_ns: float,
-    seed: int,
-    arrival_factory: Optional[Callable[[float], ArrivalProcess]],
-    connections: Optional[Callable[[], ConnectionPool]],
-    request_factory_factory: Optional[Callable[[], Callable[[Request], None]]],
-) -> List[SweepPoint]:
-    """In-process fallback for closure-based builders (pre-runner path)."""
-    make_arrivals = arrival_factory or (lambda r: PoissonArrivals(r))
-    points: List[SweepPoint] = []
-    for rate in rates_rps:
-        result = run_once(
-            builder,
-            make_arrivals(rate),
-            service,
-            n_requests=n_requests,
-            seed=seed,
-            connections=connections() if connections else None,
-            request_factory=(
-                request_factory_factory() if request_factory_factory else None
-            ),
-        )
-        summary = summarize_latencies(result.requests)
-        points.append(
-            SweepPoint(
-                rate_rps=rate,
-                p99_ns=summary.p99 if summary.count else float("inf"),
-                mean_ns=summary.mean,
-                throughput_rps=result.throughput_rps,
-                violation_ratio=result.violation_ratio(slo_ns),
-            )
-        )
-    return points
 
 
 def throughput_at_slo(points: Sequence[SweepPoint], slo_ns: float) -> float:

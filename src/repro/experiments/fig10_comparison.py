@@ -27,7 +27,7 @@ from repro.experiments.common import (
     throughput_at_slo,
 )
 from repro.hw.nic import PcieDelivery
-from repro.runner import SweepSpec, ref, run_points
+from repro.runner import PointSpec, ref, run_points
 from repro.schedulers.centralized import ShinjukuSystem
 from repro.schedulers.jbsq import nanopu, nebula, rpcvalet
 from repro.schedulers.rss import IxSystem
@@ -105,19 +105,19 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     from repro.analysis.ascii_plot import line_chart
 
     n_requests = scaled(150_000, scale, minimum=5_000)
-    specs = []
-    for name, builder in _SYSTEMS.items():
-        specs.extend(
-            SweepSpec(
-                builder=ref(builder),
-                service=SERVICE,
-                rates_rps=[r * 1e6 for r in RATES_MRPS],
-                n_requests=n_requests,
-                seed=seed,
-                slo_ns=SLO_NS,
-                tag=name,
-            ).points()
+    specs = [
+        PointSpec(
+            builder=ref(builder),
+            service=SERVICE,
+            rate_rps=r * 1e6,
+            n_requests=n_requests,
+            seed=seed,
+            slo_ns=SLO_NS,
+            tag=name,
         )
+        for name, builder in _SYSTEMS.items()
+        for r in RATES_MRPS
+    ]
     results = run_points(specs, label="fig10")
 
     rows: List[List[object]] = []

@@ -7,19 +7,22 @@ layer is demonstrated on::
 
 It drives a single 32-core Altocumulus server at moderate load and
 reports the headline instruments from the system's metric registry.
-Because the run executes in-process (``--trace`` forces serial
-execution), the capture context sees every request lifecycle, so the
-exported Chrome trace contains the full per-request span chain
-(nic_delivery -> netrx_queue -> dispatch -> worker_queue -> service ->
-completed) plus NoC message spans.
+The run is one :class:`~repro.runner.PointSpec`, so ``--faults``,
+``--controller`` and the cache apply to it like to any sweep.  Because
+``--trace`` forces in-process execution, the capture context sees
+every request lifecycle, so the exported Chrome trace contains the
+full per-request span chain (nic_delivery -> netrx_queue -> dispatch
+-> worker_queue -> service -> completed) plus NoC message spans.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.api import quick_run
+from repro.api import build_system
 from repro.experiments.common import ExperimentResult, scaled
+from repro.runner import PointSpec, ref, run_points
+from repro.workload.service import Exponential
 
 #: The run shape: one tuned server, ~50% of saturation, 1us mean service.
 N_CORES = 32
@@ -42,17 +45,22 @@ HEADLINE_INSTRUMENTS = (
 )
 
 
+def _build_server(sim, streams):
+    """The quickstart server: the registry's tuned Altocumulus preset."""
+    return build_system("altocumulus", sim, streams, N_CORES)
+
+
 def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     """Run the quickstart workload and tabulate its telemetry."""
     n_requests = scaled(20_000, scale)
-    result = quick_run(
-        "altocumulus",
-        n_cores=N_CORES,
+    spec = PointSpec(
+        builder=ref(_build_server),
+        service=Exponential(MEAN_SERVICE_NS),
         rate_rps=RATE_RPS,
-        mean_service_ns=MEAN_SERVICE_NS,
         n_requests=n_requests,
         seed=seed,
     )
+    (result,) = run_points([spec], label="quickstart")
     rows: List[List[object]] = [
         ["latency.p50_us", round(result.latency.p50 / 1000.0, 3)],
         ["latency.p99_us", round(result.latency.p99 / 1000.0, 3)],
@@ -60,8 +68,8 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
         ["utilization", round(result.utilization, 3)],
     ]
     for name in HEADLINE_INSTRUMENTS:
-        if name in result.metrics:
-            rows.append([name, result.metrics[name]])
+        if name in result.instruments:
+            rows.append([name, result.instruments[name]])
     return ExperimentResult(
         exp_id="quickstart",
         title="telemetry smoke run (1 server, 32 cores)",
@@ -75,5 +83,5 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
             "trace,\nand --metrics-out PATH for the full registry "
             "snapshot as JSON."
         ),
-        series={"metrics": dict(result.metrics)},
+        series={"metrics": dict(result.instruments)},
     )

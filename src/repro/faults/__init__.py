@@ -28,7 +28,6 @@ from repro.faults.plan import (
     RECOVERY_KINDS,
     RetryPolicy,
 )
-from repro.faults.runtime import active_fault_plan, use_fault_plan
 
 __all__ = [
     "ALL_HEALTHY",
@@ -46,6 +45,4 @@ __all__ = [
     "RECOVERY_KINDS",
     "RetryClient",
     "RetryPolicy",
-    "active_fault_plan",
-    "use_fault_plan",
 ]

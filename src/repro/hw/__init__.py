@@ -1,4 +1,4 @@
-"""Hardware models: NIC, NoC, PCIe, QPI, core tiles, and the Altocumulus
+"""Hardware models: NIC, NoC, PCIe, core tiles, and the Altocumulus
 manager-tile microarchitecture (migration registers, parameter registers,
 FIFOs, migrator and controller).
 
@@ -11,7 +11,6 @@ from repro.hw.constants import HwConstants, DEFAULT_CONSTANTS
 from repro.hw.topology import MeshTopology
 from repro.hw.noc import Noc, NocMessage
 from repro.hw.pcie import PcieLink
-from repro.hw.qpi import QpiLink
 from repro.hw.nic import DeliveryModel, HwTerminatedDelivery, PcieDelivery, RssSteering
 from repro.hw.cores import Core
 from repro.hw.registers import HardwareFifo, MigrationRegisterFile, ParameterRegisters
@@ -26,7 +25,6 @@ __all__ = [
     "Noc",
     "NocMessage",
     "PcieLink",
-    "QpiLink",
     "DeliveryModel",
     "HwTerminatedDelivery",
     "PcieDelivery",

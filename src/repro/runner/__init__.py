@@ -2,7 +2,7 @@
 
 Every evaluation artifact in this repository is an embarrassingly
 parallel sweep -- offered rates x seeds x system variants.  This package
-turns those sweeps into data (:class:`PointSpec` / :class:`SweepSpec`),
+turns those sweeps into data (one :class:`PointSpec` per run),
 fans them out over a process pool (:class:`SweepRunner`), and memoizes
 each point on disk under a stable content hash (:class:`ResultCache`),
 so re-runs are instant, crashes resume, and ``--jobs N`` scales the
@@ -43,7 +43,6 @@ from repro.runner.executor import (
 )
 from repro.runner.progress import ProgressPrinter, SweepProgress
 from repro.runner.runner import (
-    ShardedRunner,
     SweepRunner,
     SweepStats,
     run_points,
@@ -52,7 +51,6 @@ from repro.runner.spec import (
     CallableRef,
     PointSpec,
     SpecError,
-    SweepSpec,
     TaskSpec,
     fingerprint,
     maybe_ref,
@@ -66,12 +64,10 @@ __all__ = [
     "ProgressPrinter",
     "ResultCache",
     "RunnerConfig",
-    "ShardedRunner",
     "SpecError",
     "SweepCounters",
     "SweepProgress",
     "SweepRunner",
-    "SweepSpec",
     "SweepStats",
     "TaskResult",
     "TaskSpec",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 
 def detect_jobs() -> int:
@@ -60,16 +60,17 @@ class RunnerConfig:
     behavior), 0 = one per CPU. ``use_cache``: consult/populate the
     content-addressed result cache. ``cache_dir``: cache root (``None``
     = :func:`repro.runner.cache.default_cache_dir`). ``progress``:
-    live progress lines on stderr. ``shards``: sharded parallel-in-time
-    execution of datacenter points (>1 stamps every eligible spec; see
-    :func:`repro.runner.runner.run_points`).
+    live progress lines on stderr. ``spec_defaults``: ``PointSpec``
+    field values (the CLI's ``--shards``/``--faults``/``--controller``)
+    stamped onto every spec whose field still has its declared default;
+    see :func:`repro.runner.runner.run_points`.
     """
 
     jobs: int = 1
     use_cache: bool = False
     cache_dir: Optional[str] = None
     progress: bool = False
-    shards: int = 1
+    spec_defaults: Dict[str, Any] = field(default_factory=dict)
     counters: SweepCounters = field(default_factory=SweepCounters)
 
     @property
@@ -90,7 +91,7 @@ def configure(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     progress: Optional[bool] = None,
-    shards: Optional[int] = None,
+    spec_defaults: Optional[Dict[str, Any]] = None,
 ) -> RunnerConfig:
     """Update the process-wide configuration; ``None`` leaves a knob as-is."""
     if jobs is not None:
@@ -101,8 +102,8 @@ def configure(
         _CONFIG.cache_dir = cache_dir
     if progress is not None:
         _CONFIG.progress = bool(progress)
-    if shards is not None:
-        _CONFIG.shards = int(shards)
+    if spec_defaults is not None:
+        _CONFIG.spec_defaults = dict(spec_defaults)
     return _CONFIG
 
 
@@ -112,14 +113,14 @@ def overrides(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     progress: Optional[bool] = None,
-    shards: Optional[int] = None,
+    spec_defaults: Optional[Dict[str, Any]] = None,
 ) -> Iterator[RunnerConfig]:
     """Temporarily override configuration knobs (tests, benchmarks)."""
     saved = (_CONFIG.jobs, _CONFIG.use_cache, _CONFIG.cache_dir,
-             _CONFIG.progress, _CONFIG.shards)
+             _CONFIG.progress, _CONFIG.spec_defaults)
     try:
         yield configure(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-                        progress=progress, shards=shards)
+                        progress=progress, spec_defaults=spec_defaults)
     finally:
         (_CONFIG.jobs, _CONFIG.use_cache, _CONFIG.cache_dir,
-         _CONFIG.progress, _CONFIG.shards) = saved
+         _CONFIG.progress, _CONFIG.spec_defaults) = saved

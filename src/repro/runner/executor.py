@@ -11,12 +11,10 @@ boundary -- experiments that need per-request statistics attach a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
-
-from typing import Union
+from typing import Any, Dict, Optional, Union
 
 from repro.analysis.metrics import LatencySummary
-from repro.api import run_workload
+from repro.api import check_composition, run_workload
 from repro.runner.spec import CallableRef, PointSpec, TaskSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -126,26 +124,15 @@ def execute_point(spec: PointSpec) -> PointResult:
     serial ones.  ``spec.shards > 1`` swaps in the sharded datacenter
     execution mode, which is likewise bit-identical by construction.
     """
-    if spec.control is not None and spec.shards > 1:
-        raise ValueError(
-            "controllers do not compose with sharded execution: "
-            f"spec has control={spec.control.controller!r} and "
-            f"shards={spec.shards}; set shards=1 to attach a controller"
-        )
-    if spec.kvs is not None and spec.shards > 1:
-        raise ValueError(
-            "a KvsSpec does not compose with sharded execution: the "
-            f"shared store would break shard isolation; spec has "
-            f"shards={spec.shards}; set shards=1 to attach a data layer"
-        )
-    if spec.kvs is not None and spec.request_factory is not None:
-        raise ValueError("pass either kvs= or request_factory=, not both")
+    # shards=1 is the serial engine; a wired builder's own request
+    # factory is checked against ``kvs`` by run_workload.
+    check_composition(
+        shards=None if spec.shards == 1 else spec.shards,
+        control=spec.control,
+        kvs=spec.kvs,
+        request_factory=spec.request_factory,
+    )
     system, sim, streams, request_factory = _build_point(spec)
-    if spec.kvs is not None and request_factory is not None:
-        raise ValueError(
-            "pass either kvs= or a wired builder returning its own "
-            "request_factory, not both"
-        )
     if spec.request_factory is not None:
         request_factory = spec.request_factory.resolve()()
     connections = (

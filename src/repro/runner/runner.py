@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Union
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.runner.cache import ResultCache
 from repro.runner.context import RunnerConfig, get_config
@@ -180,31 +180,25 @@ class SweepRunner:
         )
 
 
-class ShardedRunner(SweepRunner):
-    """A :class:`SweepRunner` whose points execute sharded.
+#: Declared ``PointSpec`` field defaults: the "unset" test for stamping.
+_POINT_DEFAULTS = {
+    f.name: f.default for f in fields(PointSpec) if f.default is not MISSING
+}
 
-    Stamps ``shards`` onto every :class:`PointSpec` that didn't choose
-    its own count, then runs exactly like its parent -- so sweep-level
-    ``jobs`` parallelism composes with intra-run shard parallelism
-    (each worker process drives its point's shard workers), and the
-    caching/ordering/progress machinery is reused unchanged.
-    """
 
-    def __init__(self, shards: int, **kwargs: object) -> None:
-        super().__init__(**kwargs)  # type: ignore[arg-type]
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1 (got {shards})")
-        self.shards = shards
-
-    def run(self, specs: Sequence[SpecT]) -> List[ResultT]:
-        if self.shards > 1:
-            specs = [
-                replace(spec, shards=self.shards)
-                if isinstance(spec, PointSpec) and spec.shards == 1
-                else spec
-                for spec in specs
-            ]
-        return super().run(specs)
+def _stamp_defaults(specs: Sequence[SpecT],
+                    defaults: Dict[str, Any]) -> List[SpecT]:
+    """Apply ``defaults`` to every point spec field still at its declared
+    default; explicit values win, task specs pass through."""
+    stamped: List[SpecT] = []
+    for spec in specs:
+        if isinstance(spec, PointSpec):
+            unset = {name: value for name, value in defaults.items()
+                     if getattr(spec, name) == _POINT_DEFAULTS[name]}
+            if unset:
+                spec = replace(spec, **unset)
+        stamped.append(spec)
+    return stamped
 
 
 def run_points(
@@ -218,19 +212,17 @@ def run_points(
     by default (bit-identical to the historical inline loops), parallel
     and cached when the CLI or benchmark harness configured it so.
 
-    An ambient ``shards > 1`` (the CLI's ``--shards``) is stamped onto
-    every point spec that didn't set its own shard count; datacenter
-    points then execute sharded (bit-identical results), other points
-    fall back to serial in the executor.
+    The configuration's ``spec_defaults`` (the CLI's ``--shards``,
+    ``--faults`` and ``--controller``) are stamped onto every point spec
+    whose field still has its declared default, before hashing: the
+    stamped value is part of the spec, so it reaches worker processes
+    and keys the cache.  With ``shards > 1`` datacenter points execute
+    sharded (bit-identical results), other points fall back to serial
+    in the executor.
     """
     cfg = config if config is not None else get_config()
-    if cfg.shards > 1:
-        specs = [
-            replace(spec, shards=cfg.shards)
-            if isinstance(spec, PointSpec) and spec.shards == 1
-            else spec
-            for spec in specs
-        ]
+    if cfg.spec_defaults:
+        specs = _stamp_defaults(specs, cfg.spec_defaults)
     cache = ResultCache(cfg.cache_dir) if cfg.use_cache else None
     runner = SweepRunner(
         jobs=cfg.effective_jobs,

@@ -10,7 +10,6 @@ data layer that replaces them:
   keyword arguments, picklable and stably hashable.
 * :class:`PointSpec` -- one unit of simulation work (builder + workload
   configuration + rate + seed + request count) as plain data.
-* :class:`SweepSpec` -- a rate sweep sharing one configuration.
 * :func:`fingerprint` -- a stable content hash of any spec, used as the
   key of the on-disk result cache.
 
@@ -29,7 +28,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -42,11 +41,11 @@ from repro.workload.service import ServiceDistribution
 #: Bump when the execution or result layout changes incompatibly;
 #: salted into every cache key alongside the package version.
 #: 2: PointResult grew the ``instruments`` telemetry-registry snapshot.
-#: 3: PointSpec/SweepSpec grew the ``faults`` FaultPlan field.
-#: 4: PointSpec/SweepSpec grew the ``shards`` sharded-execution field.
-#: 5: PointSpec/SweepSpec grew the ``control`` ControlConfig field.
-#: 6: PointSpec/SweepSpec grew the ``jobs`` JobShape field.
-#: 7: PointSpec/SweepSpec grew the ``kvs`` KvsSpec field.
+#: 3: PointSpec grew the ``faults`` FaultPlan field.
+#: 4: PointSpec grew the ``shards`` sharded-execution field.
+#: 5: PointSpec grew the ``control`` ControlConfig field.
+#: 6: PointSpec grew the ``jobs`` JobShape field.
+#: 7: PointSpec grew the ``kvs`` KvsSpec field.
 SPEC_SCHEMA_VERSION = 7
 
 
@@ -93,8 +92,8 @@ def ref(fn: Union[Callable[..., Any], CallableRef], **kwargs: Any) -> CallableRe
     ``fn`` must be reachable as ``module.qualname`` -- a module-level
     function, a ``functools.partial`` of one (keyword arguments only),
     a static/class method, or an existing :class:`CallableRef`.
-    Lambdas and closures are rejected with :class:`SpecError`; the
-    caller is expected to fall back to in-process execution.
+    Lambdas and closures are rejected with :class:`SpecError`: a run
+    that cannot be described as data cannot be dispatched.
     """
     if isinstance(fn, CallableRef):
         return CallableRef(fn.target, {**fn.kwargs, **kwargs})
@@ -214,56 +213,6 @@ class TaskSpec:
 
     fn: CallableRef
     tag: str = ""
-
-
-@dataclass
-class SweepSpec:
-    """A latency-throughput sweep: one configuration, many offered rates."""
-
-    builder: CallableRef
-    service: Union[ServiceDistribution, CallableRef]
-    rates_rps: Sequence[float]
-    n_requests: int
-    seed: int = 1
-    arrivals: Optional[CallableRef] = None
-    connections: Optional[CallableRef] = None
-    request_factory: Optional[CallableRef] = None
-    metrics: Optional[CallableRef] = None
-    warmup_fraction: float = 0.1
-    size_bytes: int = 300
-    slo_ns: Optional[float] = None
-    faults: Optional[FaultPlan] = None
-    shards: int = 1
-    control: Optional[ControlConfig] = None
-    jobs: Optional[JobShape] = None
-    kvs: Optional[KvsSpec] = None
-    tag: str = ""
-
-    def points(self) -> List[PointSpec]:
-        """Expand into one :class:`PointSpec` per offered rate."""
-        return [
-            PointSpec(
-                builder=self.builder,
-                service=self.service,
-                rate_rps=float(rate),
-                n_requests=self.n_requests,
-                seed=self.seed,
-                arrivals=self.arrivals,
-                connections=self.connections,
-                request_factory=self.request_factory,
-                metrics=self.metrics,
-                warmup_fraction=self.warmup_fraction,
-                size_bytes=self.size_bytes,
-                slo_ns=self.slo_ns,
-                faults=self.faults,
-                shards=self.shards,
-                control=self.control,
-                jobs=self.jobs,
-                kvs=self.kvs,
-                tag=self.tag,
-            )
-            for rate in self.rates_rps
-        ]
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Workload generation: arrival processes, service-time distributions,
-connections, the open-loop load generator, and trace record/replay.
+connections, the open-loop load generator, and trace replay
+(:class:`TraceArrivals` / :class:`TraceService`).
 
 The paper evaluates two traffic classes (Sec. VII-B):
 
@@ -53,8 +54,6 @@ from repro.workload.jobs import (
     system_supports_gang,
 )
 from repro.workload.closed_loop import ClosedLoopGenerator
-from repro.workload.cloud import RateSeriesArrivals, synthesize_rate_series
-from repro.workload.traces import load_trace, save_trace
 
 __all__ = [
     "Request",
@@ -90,8 +89,4 @@ __all__ = [
     "make_gang_shadow",
     "system_supports_gang",
     "ClosedLoopGenerator",
-    "RateSeriesArrivals",
-    "synthesize_rate_series",
-    "load_trace",
-    "save_trace",
 ]

@@ -3,8 +3,8 @@
 Covers the config/registry surface, the runtime-mutable knobs the
 controllers actuate (steering staleness/width/cadence, health penalty,
 worker counts), the admin-drain overlay, policy swaps with bound
-instruments, worker reassignment, and the composition rules (ambient
-config, sharded rejection, CLI validation, determinism).
+instruments, worker reassignment, and the composition rules (sharded
+rejection, CLI validation, determinism).
 """
 
 import dataclasses
@@ -20,9 +20,7 @@ from repro.control import (
     ControlConfig,
     HysteresisController,
     StaticController,
-    active_control_config,
     make_controller,
-    use_controller,
 )
 from repro.control.actuators import MIN_SAMPLE_PERIOD_NS, Actuators
 from repro.core.config import AltocumulusConfig
@@ -389,16 +387,6 @@ class TestControlLoopEndToEnd:
         assert [r.finished for r in first.requests] == [
             r.finished for r in second.requests
         ]
-
-    def test_ambient_use_controller(self):
-        cfg = ControlConfig(controller="static")
-        assert active_control_config() is None
-        with use_controller(cfg):
-            assert active_control_config() is cfg
-            result = quick_run(system="rack", n_cores=16, rate_rps=8e6,
-                               n_requests=500, seed=2)
-            assert result.metrics["control.epochs"] > 0
-        assert active_control_config() is None
 
 
 class TestShardComposition:

@@ -216,6 +216,47 @@ class TestCliTelemetry:
         assert "--trace-sample" in capsys.readouterr().err
 
 
+class TestCliFaultPlan:
+    """``--faults`` stamps the plan into every spec, so a faulted sweep
+    runs in parallel and caches like any other."""
+
+    @staticmethod
+    def _table(capsys, *argv):
+        from repro.experiments.cli import main
+
+        assert main(["datacenter", "--scale", "0.05", "--no-progress",
+                     *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        completed = [line for line in lines if " completed in " in line]
+        table = [line for line in lines if " completed in " not in line]
+        return "\n".join(table), completed[-1]
+
+    def test_plan_reaches_parallel_and_cached_runs(self, tmp_path, capsys):
+        from repro.faults import FaultEvent, FaultPlan, RetryPolicy
+
+        plan = FaultPlan(
+            events=(FaultEvent(time_ns=20_000.0, kind="server_crash",
+                               target=0, duration_ns=60_000.0),),
+            retry=RetryPolicy(timeout_ns=20_000.0, backoff_base_ns=5_000.0,
+                              backoff_cap_ns=40_000.0),
+        )
+        path = tmp_path / "plan.json"
+        path.write_text(plan.to_json())
+        cache = str(tmp_path / "cache")
+
+        clean, _ = self._table(capsys, "--jobs", "1", "--no-cache")
+        serial, _ = self._table(capsys, "--jobs", "1", "--no-cache",
+                                "--faults", str(path))
+        parallel, _ = self._table(capsys, "--jobs", "2", "--cache-dir",
+                                  cache, "--faults", str(path))
+        cached, summary = self._table(capsys, "--jobs", "2", "--cache-dir",
+                                      cache, "--faults", str(path))
+        assert serial != clean  # the crash shows in the table
+        assert parallel == serial
+        assert cached == serial
+        assert "0 executed" in summary
+
+
 class TestJsonOutput:
     def test_to_json_round_trips(self):
         import json

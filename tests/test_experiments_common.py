@@ -7,10 +7,9 @@ from repro.experiments.common import (
     gentle_bursts,
     latency_throughput_curve,
     real_world_arrivals,
-    run_once,
 )
+from repro.runner import PointSpec, SpecError, execute_point, ref
 from repro.schedulers.jbsq import ideal_cfcfs
-from repro.workload.arrivals import PoissonArrivals
 from repro.workload.connections import ConnectionPool
 from repro.workload.request import RequestKind
 from repro.workload.service import Fixed
@@ -20,26 +19,44 @@ def builder(sim, streams):
     return ideal_cfcfs(sim, streams, 4)
 
 
-class TestRunOnce:
+def three_connections():
+    return ConnectionPool(3)
+
+
+def _mark_get(request):
+    request.kind = RequestKind.GET
+
+
+def get_factory():
+    return _mark_get
+
+
+def connection_and_kind(result):
+    return {
+        "connections": sorted({r.connection for r in result.requests}),
+        "all_get": all(r.kind is RequestKind.GET for r in result.requests),
+    }
+
+
+class TestExecutePoint:
+    def _spec(self, **kwargs):
+        return PointSpec(builder=ref(builder), service=Fixed(500.0),
+                         rate_rps=1e6, seed=1, **kwargs)
+
     def test_fresh_simulator_per_call(self):
-        a = run_once(builder, PoissonArrivals(1e6), Fixed(500.0),
-                     n_requests=500, seed=1)
-        b = run_once(builder, PoissonArrivals(1e6), Fixed(500.0),
-                     n_requests=500, seed=1)
+        a = execute_point(self._spec(n_requests=500))
+        b = execute_point(self._spec(n_requests=500))
         assert a.latency.p99 == b.latency.p99  # no state leaked
 
     def test_request_factory_and_connections_plumbed(self):
-        def factory(request):
-            request.kind = RequestKind.GET
-
-        result = run_once(
-            builder, PoissonArrivals(1e6), Fixed(500.0),
-            n_requests=200, seed=1,
-            connections=ConnectionPool(3),
-            request_factory=factory,
-        )
-        assert all(r.kind is RequestKind.GET for r in result.requests)
-        assert {r.connection for r in result.requests} <= {0, 1, 2}
+        result = execute_point(self._spec(
+            n_requests=200,
+            connections=ref(three_connections),
+            request_factory=ref(get_factory),
+            metrics=ref(connection_and_kind),
+        ))
+        assert result.metrics["all_get"]
+        assert set(result.metrics["connections"]) <= {0, 1, 2}
 
 
 class TestCurve:
@@ -63,9 +80,17 @@ class TestCurve:
         points = latency_throughput_curve(
             builder, [1e6], Fixed(500.0), n_requests=400,
             slo_ns=10_000.0,
-            arrival_factory=lambda r: gentle_bursts(r),
+            arrival_factory=gentle_bursts,
         )
         assert len(points) == 1
+
+    def test_closure_rejected(self):
+        with pytest.raises(SpecError, match="move it to module level"):
+            latency_throughput_curve(
+                builder, [1e6], Fixed(500.0), n_requests=400,
+                slo_ns=10_000.0,
+                arrival_factory=lambda r: gentle_bursts(r),
+            )
 
 
 class TestArrivalProfiles:

@@ -1,4 +1,4 @@
-"""Unit tests for PCIe and QPI link models and the coherence cost model."""
+"""Unit tests for the PCIe link model and the coherence cost model."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.hw.coherence import CoherenceModel
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
 from repro.hw.pcie import PcieLink
-from repro.hw.qpi import QpiLink
 
 
 class TestConstants:
@@ -50,29 +49,6 @@ class TestPcie:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             PcieLink().transfer_ns(-1)
-
-
-class TestQpi:
-    def test_same_socket_free(self):
-        link = QpiLink(cores_per_socket=64)
-        assert link.crossing_ns(0, 63) == 0.0
-
-    def test_cross_socket_costs(self):
-        link = QpiLink(cores_per_socket=64)
-        assert link.crossing_ns(0, 64) == 150.0
-        assert link.crossing_ns(200, 10) == 150.0
-
-    def test_socket_of(self):
-        link = QpiLink(cores_per_socket=64)
-        assert link.socket_of(0) == 0
-        assert link.socket_of(64) == 1
-        assert link.socket_of(255) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QpiLink(cores_per_socket=0)
-        with pytest.raises(ValueError):
-            QpiLink().socket_of(-1)
 
 
 class TestCoherence:

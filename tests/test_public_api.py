@@ -44,3 +44,23 @@ def test_version_matches_pyproject():
     with open("pyproject.toml") as handle:
         content = handle.read()
     assert f'version = "{repro.__version__}"' in content
+
+
+def test_import_api_leaves_scipy_out():
+    """scipy is not a dependency: a fresh ``import repro.api`` never
+    loads it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, repro.api; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -18,7 +18,6 @@ from repro.runner import (
     SpecError,
     SweepProgress,
     SweepRunner,
-    SweepSpec,
     TaskSpec,
     execute_point,
     fingerprint,
@@ -159,16 +158,6 @@ class TestFingerprint:
         prints = [fingerprint(v) for v in (flat, fanout, *variants)]
         assert len(set(prints)) == len(prints)
 
-    def test_sweep_spec_forwards_jobs_to_points(self):
-        from repro.workload.jobs import FixedDegree, JobShape
-
-        shape = JobShape(fanout=FixedDegree(2))
-        sweep = SweepSpec(
-            builder=ref(_builder, n_cores=4), service=Fixed(500.0),
-            rates_rps=[1e6, 2e6], n_requests=100, jobs=shape,
-        )
-        assert all(p.jobs is shape for p in sweep.points())
-
     def test_numpy_scalars_and_arrays_hash_stably(self):
         spec = TaskSpec(fn=ref(_answer, x=int(np.int64(4))))
         assert fingerprint(spec) == fingerprint(spec)
@@ -179,21 +168,6 @@ class TestFingerprint:
     def test_unhashable_object_raises_spec_error(self):
         with pytest.raises(SpecError, match="canonically hash"):
             fingerprint(object())
-
-    def test_sweep_spec_expands_to_matching_points(self):
-        sweep = SweepSpec(
-            builder=ref(_builder, n_cores=4),
-            service=Fixed(500.0),
-            rates_rps=[1e6, 2e6],
-            n_requests=600,
-            seed=1,
-            slo_ns=10_000.0,
-            tag="t",
-        )
-        points = sweep.points()
-        assert [p.rate_rps for p in points] == [1e6, 2e6]
-        assert fingerprint(points[0]) == fingerprint(_point(rate=1e6))
-
 
 class TestCache:
     def test_round_trip(self, tmp_path):

@@ -17,8 +17,7 @@ from repro.datacenter.sharded import (
     ShardedDatacenter,
     build_sharded_topology,
 )
-from repro.runner import ShardedRunner
-from repro.runner.spec import PointSpec, SweepSpec, ref
+from repro.runner import PointSpec, RunnerConfig, ref, run_points
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.sharded import ShardedSimulator, WindowDriver
@@ -235,7 +234,7 @@ def _builder(sim, streams):  # pragma: no cover - never executed here
 
 
 class TestShardStamping:
-    def _spec(self, shards: int = 1) -> PointSpec:
+    def _spec(self, **kwargs) -> PointSpec:
         from repro.workload.service import Exponential
 
         return PointSpec(
@@ -243,35 +242,40 @@ class TestShardStamping:
             service=Exponential(1000.0),
             rate_rps=1e6,
             n_requests=10,
-            shards=shards,
+            **kwargs,
         )
 
-    def test_sharded_runner_stamps_unset_specs(self, monkeypatch):
+    def test_run_points_stamps_unset_specs(self, monkeypatch):
         import repro.runner.runner as runner_mod
+        from repro.control import ControlConfig
+        from repro.faults import FaultEvent, FaultPlan
 
         captured = []
         monkeypatch.setattr(
             runner_mod.SweepRunner, "run",
             lambda self, specs: captured.extend(specs),
         )
-        ShardedRunner(shards=4, jobs=1).run(
-            [self._spec(), self._spec(shards=2)]
+        plan = FaultPlan(events=(FaultEvent(time_ns=1.0, kind="server_crash",
+                                            target=0),))
+        own_plan = FaultPlan(events=(FaultEvent(time_ns=2.0,
+                                                kind="server_crash",
+                                                target=1),))
+        control = ControlConfig(controller="static")
+        own_control = ControlConfig(controller="hysteresis")
+        defaults = {"shards": 4, "faults": plan, "control": control}
+        run_points(
+            [self._spec(),
+             self._spec(shards=2, faults=own_plan, control=own_control)],
+            config=RunnerConfig(spec_defaults=defaults),
         )
-        # Unset specs get the runner's count; explicit counts win.
-        assert [spec.shards for spec in captured] == [4, 2]
+        unset, explicit = captured
+        # Unset specs take the configured values; explicit values win.
+        assert (unset.shards, unset.faults, unset.control) == (
+            4, plan, control)
+        assert (explicit.shards, explicit.faults, explicit.control) == (
+            2, own_plan, own_control)
 
     def test_rejects_nonpositive_shards(self):
-        with pytest.raises(ValueError):
-            ShardedRunner(shards=0)
-
-    def test_sweep_spec_propagates_shards(self):
-        from repro.workload.service import Exponential
-
-        sweep = SweepSpec(
-            builder=ref(_builder),
-            service=Exponential(1000.0),
-            rates_rps=[1e6, 2e6],
-            n_requests=10,
-            shards=3,
-        )
-        assert [point.shards for point in sweep.points()] == [3, 3]
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            run_points([self._spec()],
+                       config=RunnerConfig(spec_defaults={"shards": 0}))

@@ -1,4 +1,5 @@
-"""Record-and-replay integration: a trace captured from one run drives a
+"""Replay integration: recorded arrival gaps and service times fed back
+through :class:`TraceArrivals`/:class:`TraceService` drive a
 bit-identical second run (the foundation of the Fig. 12 replay study)."""
 
 from repro.api import run_workload
@@ -7,11 +8,10 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import PoissonArrivals, TraceArrivals
 from repro.workload.service import Exponential, TraceService
-from repro.workload.traces import build_trace, load_trace, save_trace
 
 
 def _record(seed=4, n=500):
-    """Run once with stochastic arrivals/service and capture the trace."""
+    """Run once with stochastic arrivals/service; capture gaps/services."""
     sim, streams = Simulator(), RandomStreams(seed)
     system = ideal_cfcfs(sim, streams, 4)
     result = run_workload(
@@ -22,37 +22,22 @@ def _record(seed=4, n=500):
     gaps = [reqs[0].arrival] + [
         b.arrival - a.arrival for a, b in zip(reqs, reqs[1:])
     ]
-    trace = build_trace(
-        gaps,
-        [r.service_time for r in reqs],
-        size_bytes=[r.size_bytes for r in reqs],
-        connection=[r.connection for r in reqs],
-    )
-    return trace, [r.latency for r in reqs]
+    return gaps, [r.service_time for r in reqs], [r.latency for r in reqs]
 
 
-def _replay(trace, n):
+def _replay(gaps, services):
     sim, streams = Simulator(), RandomStreams(999)  # different seed: unused
     system = ideal_cfcfs(sim, streams, 4)
     result = run_workload(
         system, sim, streams,
-        TraceArrivals(trace.gaps_ns),
-        TraceService(trace.service_ns),
-        n_requests=n, warmup_fraction=0.0,
+        TraceArrivals(gaps),
+        TraceService(services),
+        n_requests=len(gaps), warmup_fraction=0.0,
     )
     return [r.latency for r in
             sorted(result.requests, key=lambda r: r.req_id)]
 
 
 def test_replay_reproduces_latencies_exactly():
-    trace, original = _record()
-    replayed = _replay(trace, len(original))
-    assert replayed == original
-
-
-def test_replay_survives_persistence(tmp_path):
-    trace, original = _record(n=200)
-    path = str(tmp_path / "workload.npz")
-    save_trace(path, trace)
-    replayed = _replay(load_trace(path), len(original))
-    assert replayed == original
+    gaps, services, original = _record()
+    assert _replay(gaps, services) == original
