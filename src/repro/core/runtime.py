@@ -142,7 +142,8 @@ class ManagerRuntime:
         #: filtered out (application isolation, Sec. XI future work).
         self.domain = frozenset(config.domain_of(group_index))
         #: This manager's (possibly stale) view of all NetRX lengths,
-        #: refreshed by UPDATE messages.
+        #: refreshed from the UPDATE registers before each tick
+        #: (:meth:`repro.hw.messaging.ManagerTileHw.read_updates`).
         self.q_view: List[int] = [0] * n_groups
         self.ticks = 0
         self.migrations_triggered = 0
@@ -168,14 +169,9 @@ class ManagerRuntime:
         #: never change; computing them per tick was pure overhead.
         self._domain_sorted: List[int] = sorted(self.domain)
         self._domain_self: int = self._domain_sorted.index(self.group_index)
-
-    # ------------------------------------------------------------------
-    # UPDATE receive path
-    # ------------------------------------------------------------------
-    def on_update(self, src_group: int, queue_len: int) -> None:
-        if not 0 <= src_group < self.n_groups:
-            raise ValueError(f"bad UPDATE source {src_group}")
-        self.q_view[src_group] = queue_len
+        #: True when the domain is every group, so ``q_view`` itself is
+        #: the domain's queue vector.
+        self._whole_domain: bool = self._domain_sorted == list(range(n_groups))
 
     # ------------------------------------------------------------------
     # Threshold (Eq. 2 / bounds)
@@ -250,30 +246,35 @@ class ManagerRuntime:
             self.hooks.flag_predicted(int(excess))
         # Classify within this manager's isolation domain only: queues
         # belonging to other applications are invisible to the decision.
+        q_view = self.q_view
         domain = self._domain_sorted
-        sub_q = [self.q_view[g] for g in domain]
-        sub_self = self._domain_self
-        plan = migration_plan(sub_q, sub_self, cfg.bulk, cfg.concurrency,
-                              threshold)
+        sub_q = q_view if self._whole_domain else [q_view[g] for g in domain]
         size = migrate_size(cfg.bulk, cfg.concurrency)
         sent = 0
-        destinations = [domain[d] for d in plan.destinations]
-        for dst in destinations:
-            local = self.q_view[self.group_index]
-            # Line 8: never migrate into a queue that would end up longer
-            # than the source; the move would hurt the migrated requests.
-            if local - size < self.q_view[dst] + size:
-                continue
-            batch = self.hooks.take_batch(size)
-            if not batch:
-                break
-            if not self.hooks.send_migrate(dst, batch):
-                self.hooks.restore_batch(batch)
-                break
-            sent += 1
-            self.descriptors_migrated += len(batch)
-            self.q_view[self.group_index] -= len(batch)
-            self.q_view[dst] += len(batch)
+        # Line 8 below rejects every destination the local queue does not
+        # lead by 2*S.  When even the domain's shortest queue is within
+        # that margin, no plan can send, so skip planning altogether.
+        if local_len - min(sub_q) >= 2 * size:
+            plan = migration_plan(sub_q, self._domain_self, cfg.bulk,
+                                  cfg.concurrency, threshold)
+            destinations = [domain[d] for d in plan.destinations]
+            for dst in destinations:
+                local = q_view[self.group_index]
+                # Line 8: never migrate into a queue that would end up
+                # longer than the source; the move would hurt the
+                # migrated requests.
+                if local - size < q_view[dst] + size:
+                    continue
+                batch = self.hooks.take_batch(size)
+                if not batch:
+                    break
+                if not self.hooks.send_migrate(dst, batch):
+                    self.hooks.restore_batch(batch)
+                    break
+                sent += 1
+                self.descriptors_migrated += len(batch)
+                q_view[self.group_index] -= len(batch)
+                q_view[dst] += len(batch)
         if sent:
             self.migrations_triggered += 1
         self.hooks.charge(

@@ -25,7 +25,8 @@ Control path
 ------------
 Each manager's :class:`~repro.core.runtime.ManagerRuntime` ticks every
 ``Period`` ns and triggers MIGRATEs through the
-:class:`~repro.hw.messaging.ManagerTileHw` protocol over the NoC.
+:class:`~repro.hw.messaging.ManagerTileHw` protocol over the NoC.  A tick
+first reads the UPDATE registers peers wrote since the last one.
 """
 
 from __future__ import annotations
@@ -130,7 +131,6 @@ class AltocumulusSystem(RpcSystem):
                 constants=constants,
                 mr_capacity=config.mr_capacity,
                 on_migrate_in=self._make_on_migrate_in(group),
-                on_update=self._make_on_update(group),
                 migrator_ns_per_entry=(
                     constants.coherence_msg_ns if config.messaging == "sw" else 0.5
                 ),
@@ -471,12 +471,6 @@ class AltocumulusSystem(RpcSystem):
 
         return on_migrate_in
 
-    def _make_on_update(self, group: int):
-        def on_update(src: int, qlen: int) -> None:
-            self.runtimes[group].on_update(src, qlen)
-
-        return on_update
-
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
@@ -612,11 +606,16 @@ class AltocumulusSystem(RpcSystem):
         """
         if not self._tick_running:
             return
+        event = self._tick_events[group]
+        runtime = self.runtimes[group]
+        # Read peers' UPDATE registers first: exactly the writes whose
+        # delivery would have preceded this tick event.
+        self.managers[group].read_updates(runtime.q_view, event.time, event.seq)
         self._tick_cost[group] = 0.0
-        self.runtimes[group].tick()
+        runtime.tick()
         delay = max(self.config.period_ns, self._tick_cost[group])
         self._tick_events[group] = self.sim.schedule_timer(
-            delay, self._tick_loop, group, event=self._tick_events[group]
+            delay, self._tick_loop, group, event=event
         )
 
     def shutdown(self) -> None:

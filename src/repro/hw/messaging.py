@@ -7,6 +7,9 @@ Message types
 * ``MIGRATE`` -- carries ``req_num`` 14 B descriptors from the source
   manager's MR tail to the destination's MR tail.
 * ``UPDATE`` -- broadcasts the local queue length to all other managers.
+  The controller writes it into each receiver's queue-length registers,
+  which the runtime reads once per ``Period`` (see
+  :meth:`ManagerTileHw.broadcast_update`).
 * ``ACK``/``NACK`` -- migration accepted (source forgets the
   descriptors) or rejected because the destination's receive FIFO / MR
   file is full (source restores them; the migration is *not* replayed,
@@ -25,8 +28,9 @@ from __future__ import annotations
 
 import enum
 import sys
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.sim.engine import Simulator
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
@@ -70,7 +74,6 @@ class _Payload:
     src_manager: int
     dst_manager: int
     requests: List[Request] = field(default_factory=list)
-    queue_len: int = 0
     migrate_id: int = 0
 
 
@@ -110,9 +113,9 @@ class ManagerTileHw:
 
     The runtime (software) talks to this object through three calls --
     :meth:`configure` (PREDICT_CONFIG), :meth:`send_migrate` (MIGRATE)
-    and :meth:`broadcast_update` (UPDATE) -- and receives three
-    callbacks: ``on_migrate_in``, ``on_update`` and
-    ``on_migrate_rejected``.
+    and :meth:`broadcast_update` (UPDATE) -- reads peers' UPDATEs with
+    :meth:`read_updates`, and receives two callbacks:
+    ``on_migrate_in`` and ``on_migrate_rejected``.
     """
 
     def __init__(
@@ -124,7 +127,6 @@ class ManagerTileHw:
         constants: HwConstants = DEFAULT_CONSTANTS,
         mr_capacity: Optional[int] = None,
         on_migrate_in: Optional[Callable[[List[Request], int], None]] = None,
-        on_update: Optional[Callable[[int, int], None]] = None,
         on_migrate_rejected: Optional[Callable[[List[Request], int], None]] = None,
         migrator_ns_per_entry: float = 0.5,
         registry: Optional[MetricRegistry] = None,
@@ -141,7 +143,6 @@ class ManagerTileHw:
         self.send_fifo = HardwareFifo(constants.send_fifo_entries)
         self.recv_fifo = HardwareFifo(constants.recv_fifo_entries)
         self.on_migrate_in = on_migrate_in
-        self.on_update = on_update
         self.on_migrate_rejected = on_migrate_rejected
         self.migrator_ns_per_entry = float(migrator_ns_per_entry)
         # Protocol accounting lives in owned registry instruments under
@@ -150,6 +151,14 @@ class ManagerTileHw:
         # same as the old dataclass field increments.
         self.registry = registry if registry is not None else MetricRegistry()
         prefix = f"messaging.m{self.manager_index}"
+        #: UPDATE registers: per source manager, the ``(arrival, seq,
+        #: queue_len)`` writes not yet read, oldest first.
+        self._inboxes: Dict[int, Deque[Tuple[float, int, int]]] = {}
+        #: UPDATEs read into a queue-length vector so far.
+        self._updates_read = 0
+        # UPDATEs land as register writes, not delivery events, so their
+        # receive count is bound: computed when a snapshot reads it.
+        bound = {"updates_received": self._updates_received}
         (
             self._m_migrates_sent,
             self._m_migrates_acked,
@@ -160,11 +169,15 @@ class ManagerTileHw:
             self._m_updates_received,
             self._m_send_backpressure,
         ) = [
-            self.registry.counter(f"{prefix}.{suffix}")
+            self.registry.counter(f"{prefix}.{suffix}", fn=bound.get(suffix))
             for suffix in _TILE_COUNTERS
         ]
         self._peers: Dict[int, "ManagerTileHw"] = {}
-        self._others: List["ManagerTileHw"] = []
+        #: UPDATE fan-out: per other manager, its tile, the wire times of
+        #: an UPDATE to it, and its register inbox for this source.
+        self._update_routes: List[
+            Tuple[int, float, float, Deque[Tuple[float, int, int]]]
+        ] = []
         self._pending_acks: Dict[int, List[Request]] = {}
         self._next_migrate_id = 0
         #: Migrate ids forgotten by a crash-restart (:meth:`fail`):
@@ -182,10 +195,15 @@ class ManagerTileHw:
     def connect(self, peers: List["ManagerTileHw"]) -> None:
         """Register every manager tile (including self) for routing."""
         self._peers = {p.manager_index: p for p in peers}
-        # UPDATE fan-out targets, precomputed: broadcast_update runs once
-        # per manager per tick, so rebuilding this list there was pure
-        # per-tick overhead.
-        self._others = [p for p in peers if p is not self]
+        # Precomputed because broadcast_update runs once per manager per
+        # tick and the routes never change.
+        self._update_routes = [
+            (p.tile_id,)
+            + self.noc.wire_times(self.tile_id, p.tile_id, UPDATE_BYTES)
+            + (p._inboxes.setdefault(self.manager_index, deque()),)
+            for p in peers
+            if p is not self
+        ]
 
     def _peer(self, manager_index: int) -> "ManagerTileHw":
         if manager_index not in self._peers:
@@ -244,25 +262,52 @@ class ManagerTileHw:
         return True
 
     def broadcast_update(self, queue_len: int) -> None:
-        """UPDATE: broadcast the local queue length to all other managers."""
-        for peer in self._others:
-            payload = _Payload(
-                kind=MessageType.UPDATE,
-                src_manager=self.manager_index,
-                dst_manager=peer.manager_index,
-                queue_len=queue_len,
+        """UPDATE: broadcast the local queue length to all other managers.
+
+        Each copy crosses the NoC like any message (ejection-port
+        occupancy, ``noc.*`` accounting, trace span) but is delivered as
+        a timestamped register write, not a heap event: its
+        ``(arrival, seq, queue_len)`` joins the receiver's inbox for
+        this source, and the receiver applies it when it next reads its
+        registers (:meth:`read_updates`).  ``seq`` is the sequence
+        number the delivery event would have taken, so the reader sees
+        exactly the writes that event would have made before it.  Per
+        source, arrivals strictly increase (later sends start later and
+        the ejection port only moves forward), so each inbox stays
+        sorted.
+        """
+        transmit = self.noc.transmit
+        reserve_seq = self.sim.reserve_seq
+        src = self.tile_id
+        for dst, hop_ns, flit_time, inbox in self._update_routes:
+            arrival = transmit(
+                src, dst, UPDATE_BYTES, ALTOCUMULUS_VNET, hop_ns, flit_time
             )
-            self.noc.send(
-                NocMessage(
-                    src=self.tile_id,
-                    dst=peer.tile_id,
-                    payload=payload,
-                    size_bytes=UPDATE_BYTES,
-                    vnet=ALTOCUMULUS_VNET,
-                ),
-                self._deliver,
-            )
-            self._m_updates_sent.value += 1
+            inbox.append((arrival, reserve_seq(), queue_len))
+        self._m_updates_sent.value += len(self._update_routes)
+
+    def read_updates(self, q_view: List[int], time: float, seq: int) -> None:
+        """Copy into ``q_view`` every UPDATE that arrived before the
+        event keyed ``(time, seq)``: the runtime's once-per-``Period``
+        register read, made at the start of its tick event."""
+        key = (time, seq)
+        read = 0
+        for src, inbox in self._inboxes.items():
+            # (arrival, seq, qlen) < (time, seq): seqs are unique, so the
+            # comparison never reaches qlen.
+            while inbox and inbox[0] < key:
+                q_view[src] = inbox.popleft()[2]
+                read += 1
+        self._updates_read += read
+
+    def _updates_received(self) -> int:
+        """UPDATEs read plus those a delivery event would have reached
+        by the end of the last run (:attr:`Simulator.end_cut`)."""
+        cut = self.sim.end_cut
+        return self._updates_read + sum(
+            1 for inbox in self._inboxes.values() for entry in inbox
+            if entry < cut
+        )
 
     # ------------------------------------------------------------------
     # Hardware internals
@@ -286,12 +331,6 @@ class ManagerTileHw:
                 f"misrouted message for manager {payload.dst_manager} "
                 f"delivered to {self.manager_index}"
             )
-        if payload.kind is MessageType.UPDATE:
-            self._m_updates_received.value += 1
-            self.prs.queue_lengths = list(self.prs.queue_lengths)
-            if self.on_update is not None:
-                self.on_update(payload.src_manager, payload.queue_len)
-            return
         if payload.kind is MessageType.MIGRATE:
             self._receive_migrate(payload)
             return
@@ -406,7 +445,7 @@ class ManagerTileHw:
             descriptors_sent=self._m_descriptors_sent.value,
             descriptors_accepted=self._m_descriptors_accepted.value,
             updates_sent=self._m_updates_sent.value,
-            updates_received=self._m_updates_received.value,
+            updates_received=self._m_updates_received.read(),
             send_backpressure=self._m_send_backpressure.value,
         )
 

@@ -29,7 +29,7 @@ from repro.telemetry import MetricRegistry, trace_sink
 #: Width of one NoC flit in bytes (typical 128-bit links).
 FLIT_BYTES = 16
 
-#: Messages are allocated once per MIGRATE/UPDATE/ACK, which at tick
+#: Messages are allocated once per MIGRATE/ACK/NACK, which at tick
 #: rates means tens of thousands per run -- slotted where the runtime
 #: supports it (``dataclass(slots=True)`` needs Python 3.10).
 _SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
@@ -131,6 +131,63 @@ class Noc:
         hops = self.topology.hops(msg.src, msg.dst)
         return hops * self.per_hop_ns + msg.flits * self.flit_ns
 
+    def wire_times(
+        self, src: int, dst: int, size_bytes: int
+    ) -> Tuple[float, float]:
+        """``(hop_ns, flit_time)`` of a ``src -> dst`` message: its
+        uncontended route latency and its serialization time.
+
+        Both are fixed for a tile pair and message size, so a sender
+        that repeats one message shape can compute them once.  Integer
+        ceil is exact for byte counts.
+        """
+        hop_ns = self.topology.hops(src, dst) * self.per_hop_ns
+        flit_time = max(1, -(-size_bytes // FLIT_BYTES)) * self.flit_ns
+        return hop_ns, flit_time
+
+    def transmit(
+        self,
+        src: int,
+        dst: int,
+        size_bytes: int,
+        vnet: int,
+        hop_ns: float,
+        flit_time: float,
+    ) -> float:
+        """Inject one message now and return its arrival time.
+
+        The NoC's one accounting path -- link and ejection-port
+        occupancy, the ``noc.*`` counters and the trace span -- for a
+        message whose :meth:`wire_times` are ``hop_ns``/``flit_time``.
+        Delivery is the caller's: :meth:`send` schedules an event at the
+        returned time, while an UPDATE is written into the receiver's
+        registers (:meth:`repro.hw.messaging.ManagerTileHw.broadcast_update`).
+        If endpoint serialization is enabled and the destination's
+        ejection port is still draining an earlier message, arrival is
+        pushed back accordingly.
+        """
+        now = self.sim.now
+        if self.link_contention:
+            arrival = self._contended_arrival(src, dst, flit_time)
+        else:
+            arrival = now + hop_ns + flit_time
+        if self.endpoint_serialization:
+            ejection_free = self._ejection_free
+            free_at = ejection_free.get(dst, 0.0)
+            if free_at > arrival:
+                arrival = free_at
+            # The ejection port is busy for the message's flit time.
+            ejection_free[dst] = arrival + flit_time
+        self._m_messages.value += 1
+        self._m_bytes.value += size_bytes
+        self._m_latency.value += arrival - now
+        by_vnet = self._by_vnet
+        by_vnet[vnet] = by_vnet.get(vnet, 0) + 1
+        trace = self._trace
+        if trace.enabled:
+            trace.span("noc", dst, f"vnet{vnet}", now, arrival)
+        return arrival
+
     def send(
         self,
         msg: NocMessage,
@@ -138,77 +195,32 @@ class Noc:
     ) -> float:
         """Inject ``msg`` now; invoke ``on_delivery(msg)`` at arrival.
 
-        Returns the scheduled delivery time.  If endpoint serialization
-        is enabled and the destination's ejection port is still draining
-        an earlier message, delivery is pushed back accordingly.
+        Returns the scheduled delivery time (see :meth:`transmit`).
         """
-        now = self.sim.now
-        msg.injected_at = now
-        # Compute the flit count once per send: ``msg.flits`` is a
-        # property doing float ceil math, and the hot path needs it up
-        # to twice (latency + ejection-port hold).  Integer ceil is
-        # exact for byte counts.
-        flit_time = max(1, -(-msg.size_bytes // FLIT_BYTES)) * self.flit_ns
-        if self.link_contention:
-            arrival = self._contended_arrival(msg)
-        else:
-            arrival = (
-                now
-                + self.topology.hops(msg.src, msg.dst) * self.per_hop_ns
-                + flit_time
-            )
-        if self.endpoint_serialization:
-            free_at = self._ejection_free.get(msg.dst, 0.0)
-            if free_at > arrival:
-                arrival = free_at
-            # The ejection port is busy for the message's flit time.
-            self._ejection_free[msg.dst] = arrival + flit_time
+        msg.injected_at = self.sim.now
+        src = msg.src
+        dst = msg.dst
+        size_bytes = msg.size_bytes
+        hop_ns, flit_time = self.wire_times(src, dst, size_bytes)
+        arrival = self.transmit(
+            src, dst, size_bytes, msg.vnet, hop_ns, flit_time
+        )
         msg.delivered_at = arrival
-        self._m_messages.value += 1
-        self._m_bytes.value += msg.size_bytes
-        self._m_latency.value += arrival - now
-        by_vnet = self._by_vnet
-        by_vnet[msg.vnet] = by_vnet.get(msg.vnet, 0) + 1
-        trace = self._trace
-        if trace.enabled:
-            trace.span("noc", msg.dst, f"vnet{msg.vnet}", now, arrival)
         self.sim.schedule_at(arrival, on_delivery, msg)
         return arrival
 
-    def _contended_arrival(self, msg: NocMessage) -> float:
+    def _contended_arrival(
+        self, src: int, dst: int, serialization: float
+    ) -> float:
         """Wormhole-style traversal with per-link serialization.
 
         The head flit waits for each link on the XY route to free, then
         holds it for the message's serialization time; the tail flit
         arrives one serialization window after the head.
         """
-        serialization = msg.flits * self.flit_ns
         t = self.sim.now
-        for link in self.topology.route_links(msg.src, msg.dst):
+        for link in self.topology.route_links(src, dst):
             t = max(t, self._link_free.get(link, 0.0))
             self._link_free[link] = t + serialization
             t += self.per_hop_ns
         return t + serialization
-
-    def broadcast(
-        self,
-        src: int,
-        dsts: "list[int]",
-        payload: Any,
-        size_bytes: int,
-        on_delivery: Callable[[NocMessage], None],
-        vnet: int = 0,
-    ) -> None:
-        """Send one copy of ``payload`` from ``src`` to each tile in ``dsts``.
-
-        Models UPDATE broadcasts: one unicast per destination (no tree),
-        matching the simple controller hardware of Fig. 6.
-        """
-        for dst in dsts:
-            if dst == src:
-                continue
-            self.send(
-                NocMessage(src=src, dst=dst, payload=payload,
-                           size_bytes=size_bytes, vnet=vnet),
-                on_delivery,
-            )

@@ -7,8 +7,10 @@ Each Altocumulus manager tile adds:
   the LLC.  Bounded per Sec. V-B: near saturation E[Nq] ~ 11 per group,
   so one 154 B file (11 entries) suffices -- but the capacity is a
   parameter so sizing studies can sweep it.
-* **Parameter registers (PRs)** -- Period, Bulk, Concurrency, threshold
-  T and the queue-length vector q, written by PREDICT_CONFIG.
+* **Parameter registers (PRs)** -- Period, Bulk, Concurrency and
+  threshold T, written by PREDICT_CONFIG.  The queue-length vector q is
+  written by peers' UPDATEs and lives with the messaging hardware
+  (:meth:`repro.hw.messaging.ManagerTileHw.read_updates`).
 * **Send/receive FIFOs** -- 16-entry staging buffers between the
   migrator and the NoC; a full receive FIFO NACKs incoming migrations.
 """
@@ -16,7 +18,7 @@ Each Altocumulus manager tile adds:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.workload.request import Request
@@ -196,7 +198,6 @@ class ParameterRegisters:
     bulk: int = 16
     concurrency: int = 1
     threshold: float = float("inf")
-    queue_lengths: List[int] = field(default_factory=list)
 
     def configure(self, **kwargs: object) -> None:
         """Apply a PREDICT_CONFIG register write."""

@@ -63,6 +63,8 @@ _FREE_LIST_MAX = 1024
 #: entries exist *and* they outnumber the live ones.
 _COMPACT_MIN_DEAD = 64
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised on invalid simulator operations (e.g. scheduling in the past)."""
@@ -132,6 +134,9 @@ class Simulator:
         self._free: List[Event] = []
         #: Cancelled events still sitting in the heap (exact count).
         self._dead: int = 0
+        #: ``(time, seq)`` bound of the work the last run executed: an
+        #: event keyed strictly below it has fired (see :meth:`run`).
+        self.end_cut: Tuple[float, float] = (-_INF, -_INF)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -178,6 +183,19 @@ class Simulator:
             event = Event(time, seq, fn, args)
         heappush(self._heap, (time, seq, event))
         return event
+
+    def reserve_seq(self) -> int:
+        """Consume and return the next sequence number without scheduling.
+
+        For work that happens at a known ``(time, seq)`` key but is
+        applied later by its reader instead of by a heap event (see
+        :meth:`repro.hw.messaging.ManagerTileHw.broadcast_update`): the
+        reserved number keeps every later event's seq, and so every
+        equal-time FIFO tie-break, exactly as if the event existed.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def schedule_timer(
         self,
@@ -260,6 +278,7 @@ class Simulator:
             self.now = event.time
             self._events_processed += 1
             event.fired = True
+            self._advance_cut((event.time, event.seq))
             event.fn(*event.args)
             return True
         return False
@@ -281,6 +300,13 @@ class Simulator:
         passed it would let callers mistake a truncated run for a
         completed one.  ``max_events`` takes precedence when the budget
         is exhausted exactly as the heap drains.
+
+        On exit the run records :attr:`end_cut`, the ``(time, seq)`` key
+        below which every event has fired: the stopping event's key when
+        cut short, ``(until, inf)`` when the clock is clamped to
+        ``until``, ``(inf, inf)`` when the heap drained with no
+        ``until``.  Reserved-seq work (:meth:`reserve_seq`) is counted
+        against it; the loop itself pays nothing for it.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -293,8 +319,9 @@ class Simulator:
         free = self._free
         pop = heappop
         getref = _getrefcount
-        horizon = until if until is not None else float("inf")
+        horizon = until if until is not None else _INF
         budget = max_events if max_events is not None else -1
+        event = None
         try:
             while heap:
                 if self._stopped:
@@ -343,9 +370,15 @@ class Simulator:
                 # counts as limit-exhausted when the last executed event
                 # spent the budget.
                 limit_hit = executed == budget >= 0
-            if until is not None and not self._stopped and not limit_hit:
-                if self.now < until:
+            if self._stopped or limit_hit:
+                # Both exits are taken before the next heap entry is
+                # looked at, so ``event`` is the last one executed.
+                if executed:
+                    self._advance_cut((event.time, event.seq))
+            else:
+                if until is not None and self.now < until:
                     self.now = until
+                self._advance_cut((horizon, _INF))
         finally:
             self._running = False
 
@@ -375,9 +408,13 @@ class Simulator:
         free = self._free
         pop = heappop
         getref = _getrefcount
+        event = None
         while heap:
             if self._stopped:
-                break
+                # ``event`` is the stopping event: nothing was popped
+                # since it ran.
+                self._advance_cut((event.time, event.seq))
+                return
             entry = heap[0]
             event = entry[2]
             if event.cancelled:
@@ -410,6 +447,13 @@ class Simulator:
                 event.fn = None
                 event.args = None
                 free.append(event)
+        self._advance_cut((horizon, -_INF))
+
+    def _advance_cut(self, cut: Tuple[float, float]) -> None:
+        """Move :attr:`end_cut` forward to ``cut`` (never back: a run
+        that ends below an earlier one has not un-fired anything)."""
+        if cut > self.end_cut:
+            self.end_cut = cut
 
     def advance_clock(self, time: float) -> None:
         """Advance the clock to ``time`` without executing anything.

@@ -197,8 +197,8 @@ GOLDEN_PARAMS = dict(
 )
 
 
-def run_fingerprint(system: str) -> Dict[str, object]:
-    """Run one golden-config simulation and fingerprint its output.
+def run_golden(system: str):
+    """Run one golden-config simulation and return its result.
 
     ``system`` may be a plain registered name, a ``"<name>+faults"``
     entry (same workload under that entry's fault plan), and/or carry a
@@ -237,8 +237,14 @@ def run_fingerprint(system: str) -> Dict[str, object]:
     faults: Optional[FaultPlan] = GOLDEN_FAULT_PLANS.get(system)
     if faults is not None:
         system = system.rsplit("+", 1)[0]
-    result = quick_run(system=system, faults=faults, shards=shards,
-                       control=control, jobs=jobs, kvs=kvs, **GOLDEN_PARAMS)
+    return quick_run(system=system, faults=faults, shards=shards,
+                     control=control, jobs=jobs, kvs=kvs, **GOLDEN_PARAMS)
+
+
+def run_fingerprint(system: str) -> Dict[str, object]:
+    """Run one golden-config simulation (see :func:`run_golden`) and
+    fingerprint its output."""
+    result = run_golden(system)
     hasher = hashlib.sha256()
     for r in result.requests:
         record = (
@@ -284,3 +290,65 @@ def run_fingerprint(system: str) -> Dict[str, object]:
 
 def all_fingerprints() -> Dict[str, Dict[str, object]]:
     return {system: run_fingerprint(system) for system in ALL_GOLDEN_SYSTEMS}
+
+
+#: Golden entries whose end-of-run NoC and messaging counters are pinned
+#: in ``tests/data/messaging_golden.json``: every single-server
+#: Altocumulus golden entry, so UPDATE/MIGRATE/ACK accounting is covered
+#: with and without faults, gangs and the KVS data layer, plus two
+#: ``"altocumulus@<groups>x<size>"`` entries on 64 cores that widen the
+#: UPDATE fan-out from one peer per manager to 3 and 15.
+MESSAGING_GOLDEN_SYSTEMS = (
+    "altocumulus", "altocumulus+faults", "altocumulus+gang",
+    "altocumulus+crew-mv", "altocumulus@4x16", "altocumulus@16x4",
+)
+
+
+def _run_grouped(shape: str):
+    """The golden workload at double rate on a 64-core Altocumulus
+    system split into ``"<groups>x<size>"`` groups."""
+    from repro.api import run_workload
+    from repro.core.config import AltocumulusConfig
+    from repro.core.scheduler import AltocumulusSystem
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RandomStreams
+    from repro.workload.arrivals import PoissonArrivals
+    from repro.workload.service import Exponential
+
+    n_groups, group_size = (int(x) for x in shape.split("x"))
+    sim = Simulator()
+    streams = RandomStreams(GOLDEN_PARAMS["seed"])
+    system = AltocumulusSystem(
+        sim, streams,
+        AltocumulusConfig(n_groups=n_groups, group_size=group_size),
+    )
+    return run_workload(
+        system, sim, streams,
+        arrivals=PoissonArrivals(2 * GOLDEN_PARAMS["rate_rps"]),
+        service=Exponential(GOLDEN_PARAMS["mean_service_ns"]),
+        n_requests=GOLDEN_PARAMS["n_requests"],
+    )
+
+
+def messaging_snapshot(system: str) -> Dict[str, object]:
+    """The ``noc.*`` and ``messaging.*`` instruments after a golden run.
+
+    The ``@`` entries have no determinism golden of their own, so their
+    snapshot also carries the run's per-request digest and end time.
+    """
+    base, _, shape = system.partition("@")
+    result = _run_grouped(shape) if shape else run_golden(base)
+    snapshot: Dict[str, object] = {
+        name: value for name, value in sorted(result.metrics.items())
+        if name.startswith(("noc.", "messaging."))
+    }
+    if shape:
+        hasher = hashlib.sha256()
+        for r in result.requests:
+            hasher.update(json.dumps((
+                r.req_id, repr(r.enqueued), repr(r.started),
+                repr(r.finished), r.migrations, r.group_id,
+            )).encode())
+        snapshot["requests_sha256"] = hasher.hexdigest()
+        snapshot["sim_time_ns"] = repr(result.sim_time_ns)
+    return snapshot

@@ -176,14 +176,6 @@ class TestTick:
         runtime.tick()
         assert mock.flagged == [10]  # 60 - 50 beyond-threshold requests
 
-    def test_update_handler_refreshes_view(self):
-        mock = MockSystem()
-        runtime = make_runtime(mock)
-        runtime.on_update(2, 33)
-        assert runtime.q_view[2] == 33
-        with pytest.raises(ValueError):
-            runtime.on_update(99, 1)
-
     def test_bookkeeping_counters(self):
         mock = MockSystem(queue_len=100)
         runtime = make_runtime(mock, threshold_mode="upper_bound")
@@ -230,3 +222,69 @@ class TestLoadEstimatorEdgeCases:
         est.record_completion(10.0)
         assert est.arrivals == 2
         assert est.completions == 1
+
+
+def reference_destinations(q_view, domain, bulk, concurrency, threshold):
+    """Where Algorithm 1 sends this period, planning unconditionally:
+    ``predict()`` on the domain's vector, then the line-8 guard against
+    live lengths, assuming every batch fills (group 0 is the source)."""
+    from repro.core.patterns import migrate_size, migration_plan
+
+    plan = migration_plan([q_view[g] for g in domain], domain.index(0),
+                          bulk, concurrency, threshold)
+    size = migrate_size(bulk, concurrency)
+    q = list(q_view)
+    sent = []
+    for dst in (domain[d] for d in plan.destinations):
+        if q[0] - size < q[dst] + size:
+            continue
+        sent.append(dst)
+        q[0] -= size
+        q[dst] += size
+    return sent
+
+
+class TestTickSkipsHopelessPlans:
+    """The tick skips planning when the line-8 guard would reject every
+    destination; what it sends must not change."""
+
+    def test_matches_unconditional_planning(self, monkeypatch):
+        import numpy as np
+
+        import repro.core.runtime as runtime_mod
+
+        planned = []
+        real_plan = runtime_mod.migration_plan
+
+        def counting_plan(*args):
+            planned.append(args)
+            return real_plan(*args)
+
+        monkeypatch.setattr(runtime_mod, "migration_plan", counting_plan)
+        rng = np.random.default_rng(11)
+        skipped = 0
+        for _ in range(400):
+            n_groups = int(rng.integers(2, 9))
+            bulk = int(rng.integers(1, 21))
+            concurrency = int(rng.integers(1, 5))
+            q = [int(v) for v in rng.integers(0, 80, size=n_groups)]
+            domains = None
+            if n_groups >= 4 and rng.random() < 0.3:
+                domains = [list(range(n_groups // 2)),
+                           list(range(n_groups // 2, n_groups))]
+            threshold = float(rng.integers(1, 100))
+            mock = MockSystem(queue_len=q[0])
+            runtime = make_runtime(
+                mock, n_groups=n_groups, bulk=bulk, concurrency=concurrency,
+                threshold_mode="fixed", fixed_threshold=threshold,
+                migration_domains=domains,
+            )
+            runtime.q_view = list(q)
+            domain = sorted(runtime.domain)
+            expected = reference_destinations(
+                q, domain, bulk, concurrency, runtime.current_threshold())
+            before = len(planned)
+            runtime.tick()
+            skipped += len(planned) == before
+            assert [dst for dst, _ in mock.sent] == expected
+        assert 0 < skipped < 400

@@ -28,7 +28,12 @@ from pathlib import Path
 
 import pytest
 
-from tests.determinism_util import ALL_GOLDEN_SYSTEMS, run_fingerprint
+from tests.determinism_util import (
+    ALL_GOLDEN_SYSTEMS,
+    MESSAGING_GOLDEN_SYSTEMS,
+    messaging_snapshot,
+    run_fingerprint,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "determinism_golden.json"
 
@@ -87,3 +92,16 @@ def test_controlled_run_is_self_deterministic():
     first = run_fingerprint("rack+faults+ctl:hysteresis")
     second = run_fingerprint("rack+faults+ctl:hysteresis")
     assert first == second
+
+
+MESSAGING_GOLDEN_PATH = Path(__file__).parent / "data" / "messaging_golden.json"
+
+
+@pytest.mark.parametrize("system", MESSAGING_GOLDEN_SYSTEMS)
+def test_end_of_run_noc_and_messaging_counters_pinned(system):
+    """Every ``noc.*`` and ``messaging.*`` instrument at the end of an
+    Altocumulus golden run equals its pinned value exactly: ejection-port
+    occupancy, per-vnet message counts, summed NoC latency and every
+    tile's UPDATE/MIGRATE/ACK counters."""
+    expected = json.loads(MESSAGING_GOLDEN_PATH.read_text())[system]
+    assert messaging_snapshot(system) == expected

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.constants import HwConstants
-from repro.hw.messaging import ManagerTileHw
+from repro.hw.messaging import UPDATE_BYTES, ManagerTileHw
 from repro.hw.noc import Noc
 from repro.hw.topology import MeshTopology
 from tests.conftest import make_request
@@ -22,8 +22,6 @@ def make_tiles(sim, n=3, mr_capacity=None, constants=None, **callbacks):
             return {
                 "on_migrate_in": lambda reqs, src: callbacks.get(
                     "migrate_in", lambda *a: None)(idx, reqs, src),
-                "on_update": lambda src, q: callbacks.get(
-                    "update", lambda *a: None)(idx, src, q),
                 "on_migrate_rejected": lambda reqs, dst: callbacks.get(
                     "rejected", lambda *a: None)(idx, reqs, dst),
             }
@@ -37,6 +35,33 @@ def make_tiles(sim, n=3, mr_capacity=None, constants=None, **callbacks):
     for t in tiles:
         t.connect(tiles)
     return tiles
+
+
+def read_views_at(sim, tiles, time):
+    """Schedule one register-reading event per tile at ``time``.
+
+    Each event reads its tile's UPDATE registers at its own
+    ``(time, seq)``, as a runtime tick does, into a fresh queue-length
+    vector of ``None``s; returns the vectors (filled once the events run).
+    """
+    views = [[None] * len(tiles) for _ in tiles]
+
+    def read(i):
+        event = events[i]
+        tiles[i].read_updates(views[i], event.time, event.seq)
+
+    events = [sim.schedule_at(time, read, i) for i in range(len(tiles))]
+    return views
+
+
+def received(views):
+    """The ``(receiver, src, queue_len)`` triples the reads saw."""
+    return sorted(
+        (i, src, q)
+        for i, view in enumerate(views)
+        for src, q in enumerate(view)
+        if q is not None
+    )
 
 
 class TestMigrate:
@@ -102,20 +127,122 @@ class TestMigrate:
 
 class TestUpdate:
     def test_broadcast_reaches_all_other_managers(self, sim):
-        updates = []
-        tiles = make_tiles(
-            sim, n=4, update=lambda i, src, q: updates.append((i, src, q)))
+        tiles = make_tiles(sim, n=4)
         tiles[2].broadcast_update(17)
+        views = read_views_at(sim, tiles, 1_000.0)
         sim.run()
-        assert sorted(updates) == [(0, 2, 17), (1, 2, 17), (3, 2, 17)]
+        assert received(views) == [(0, 2, 17), (1, 2, 17), (3, 2, 17)]
         assert tiles[2].stats.updates_sent == 3
+        for i in (0, 1, 3):
+            assert tiles[i].stats.updates_received == 1
+        assert tiles[2].stats.updates_received == 0
 
     def test_update_does_not_echo_to_sender(self, sim):
-        updates = []
-        tiles = make_tiles(sim, update=lambda i, src, q: updates.append(i))
+        tiles = make_tiles(sim)
         tiles[0].broadcast_update(5)
+        views = read_views_at(sim, tiles, 1_000.0)
         sim.run()
-        assert 0 not in updates
+        assert 0 not in [i for i, _, _ in received(views)]
+        assert tiles[0].stats.updates_received == 0
+
+    def test_update_crosses_the_noc_without_a_heap_event(self, sim):
+        tiles = make_tiles(sim, n=4)
+        tiles[1].broadcast_update(9)
+        assert sim.pending == 0
+        noc = tiles[1].noc.stats
+        assert noc.messages == 3
+        assert noc.by_vnet == {1: 3}
+
+    def test_latest_write_per_source_wins(self, sim):
+        tiles = make_tiles(sim, n=2)
+        tiles[0].broadcast_update(3)
+        sim.schedule(50.0, tiles[0].broadcast_update, 4)
+        views = read_views_at(sim, tiles, 1_000.0)
+        sim.run()
+        assert received(views) == [(1, 0, 4)]
+        assert tiles[1].stats.updates_received == 2
+
+
+def update_arrival(tiles, src, dst):
+    """When an UPDATE sent now from ``src`` reaches ``dst`` (idle NoC)."""
+    noc = tiles[src].noc
+    hop_ns, flit_time = noc.wire_times(
+        tiles[src].tile_id, tiles[dst].tile_id, UPDATE_BYTES)
+    return noc.sim.now + hop_ns + flit_time
+
+
+class TestUpdateTieBreak:
+    """An UPDATE arriving exactly at a reader's event time is read iff it
+    was sent before that event was scheduled -- the FIFO order its
+    delivery event would have had."""
+
+    def test_sent_before_the_reader_was_scheduled_is_read(self, sim):
+        tiles = make_tiles(sim, n=2)
+        arrival = update_arrival(tiles, 0, 1)
+        tiles[0].broadcast_update(7)
+        views = read_views_at(sim, tiles, arrival)
+        sim.run()
+        assert views[1] == [7, None]
+
+    def test_sent_after_the_reader_was_scheduled_waits(self, sim):
+        tiles = make_tiles(sim, n=2)
+        arrival = update_arrival(tiles, 0, 1)
+        views = read_views_at(sim, tiles, arrival)
+        tiles[0].broadcast_update(7)
+        later = read_views_at(sim, tiles, arrival + 1.0)
+        sim.run()
+        assert views[1] == [None, None]
+        assert later[1] == [7, None]
+
+
+class TestUpdatesReceivedAtRunEnd:
+    """``updates_received`` counts what a delivery event would have
+    reached by the end of the run, read or not."""
+
+    def test_stop_at_arrival_counts_only_earlier_sends(self, sim):
+        tiles = make_tiles(sim, n=2)
+        arrival = update_arrival(tiles, 0, 1)
+        sim.schedule_at(arrival, sim.stop)
+        tiles[0].broadcast_update(7)
+        sim.run()
+        assert sim.now == arrival
+        assert tiles[1].stats.updates_received == 0
+
+    def test_stop_after_arrival_counts_the_send(self, sim):
+        tiles = make_tiles(sim, n=2)
+        arrival = update_arrival(tiles, 0, 1)
+        tiles[0].broadcast_update(7)
+        sim.schedule_at(arrival, sim.stop)
+        sim.run()
+        assert tiles[1].stats.updates_received == 1
+
+    def test_until_clamp_is_inclusive(self, sim):
+        tiles = make_tiles(sim, n=2)
+        arrival = update_arrival(tiles, 0, 1)
+        tiles[0].broadcast_update(7)
+        sim.run(until=arrival - 0.5)
+        assert sim.now == arrival - 0.5
+        assert tiles[1].stats.updates_received == 0
+        sim.run(until=arrival)
+        assert tiles[1].stats.updates_received == 1
+
+    def test_drained_run_counts_every_send_without_advancing_clock(
+            self, sim):
+        tiles = make_tiles(sim, n=3)
+        tiles[0].broadcast_update(7)
+        sim.run()
+        assert sim.now == 0.0
+        assert [t.stats.updates_received for t in tiles] == [0, 1, 1]
+
+    def test_counter_survives_reads(self, sim):
+        tiles = make_tiles(sim, n=2)
+        tiles[0].broadcast_update(7)
+        read_views_at(sim, tiles, 1_000.0)
+        sim.run(until=2_000.0)
+        tiles[0].broadcast_update(8)  # arrives after the run's end
+        assert tiles[1].stats.updates_received == 1
+        sim.run(until=3_000.0)
+        assert tiles[1].stats.updates_received == 2
 
 
 class TestConfig:

@@ -25,6 +25,10 @@ class TestLatency:
         msg = NocMessage(src=0, dst=1, payload=None, size_bytes=0)
         assert msg.flits == 1
 
+    def test_invalid_latency_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Noc(sim, MeshTopology(4), per_hop_ns=-1.0)
+
 
 class TestDelivery:
     def test_callback_fires_at_latency(self, sim):
@@ -68,18 +72,39 @@ class TestDelivery:
         assert noc.stats.mean_latency_ns > 0
 
 
-class TestBroadcast:
-    def test_broadcast_skips_source(self, sim):
+class TestTransmit:
+    def test_wire_times_match_latency(self, sim):
         noc = make_noc(sim)
-        received = []
-        noc.broadcast(0, [0, 1, 2, 3], payload="q", size_bytes=8,
-                      on_delivery=lambda m: received.append(m.dst))
-        sim.run()
-        assert sorted(received) == [1, 2, 3]
+        msg = NocMessage(src=0, dst=15, payload=None, size_bytes=40)
+        hop_ns, flit_time = noc.wire_times(0, 15, 40)
+        assert (hop_ns, flit_time) == (6 * 3.0, 3 * 1.0)
+        assert hop_ns + flit_time == noc.latency(msg)
 
-    def test_invalid_latency_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Noc(sim, MeshTopology(4), per_hop_ns=-1.0)
+    def test_transmit_accounts_like_send(self, sim):
+        """A delivery-less transmit holds the ejection port and bumps
+        the counters exactly as a send does."""
+        noc = make_noc(sim)
+        first = noc.transmit(0, 1, 8, 1, *noc.wire_times(0, 1, 8))
+        assert first == 4.0
+        assert sim.pending == 0  # no delivery event
+        arrived = []
+        noc.send(NocMessage(src=0, dst=1, payload=None, size_bytes=8, vnet=1),
+                 lambda m: arrived.append(sim.now))
+        sim.run()
+        assert arrived == [first + 1.0]  # queued behind the transmit
+        assert noc.stats.messages == 2
+        assert noc.stats.bytes == 16
+        assert noc.stats.by_vnet == {1: 2}
+        assert noc.stats.total_latency_ns == 4.0 + 5.0
+
+    def test_transmit_under_link_contention(self, sim):
+        noc = make_noc(sim, endpoint_serialization=False,
+                       link_contention=True)
+        hop_ns, flit_time = noc.wire_times(0, 3, 64)
+        first = noc.transmit(0, 3, 64, 0, hop_ns, flit_time)
+        second = noc.transmit(0, 3, 64, 0, hop_ns, flit_time)
+        assert first == hop_ns + flit_time
+        assert second == first + flit_time
 
 
 class TestLinkContention:
