@@ -17,16 +17,15 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only \
 		--benchmark-json=BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
 
-## Regression gate: re-run the two gated microbenchmarks and fail if
+## Regression gate: re-run the gated microbenchmarks and fail if
 ## stats.min regressed >2% against BENCH_BASELINE (a same-machine
 ## pytest-benchmark JSON; defaults to the committed baseline).
 BENCH_BASELINE ?= BENCH_20260809T004455Z.json
-BENCH_GATED = test_event_heap_throughput,test_full_system_simulation_rate,test_bench_sharded_datacenter,test_bench_fanout_jobs
+BENCH_GATED = test_event_heap_throughput,test_full_system_simulation_rate,test_bench_fanout_jobs
 bench-gate:
-	$(PYTHON) -m pytest benchmarks/test_engine_perf.py benchmarks/test_sharded.py \
-		benchmarks/test_fanout.py \
+	$(PYTHON) -m pytest benchmarks/test_engine_perf.py benchmarks/test_fanout.py \
 		--benchmark-only -q \
-		-k "event_heap_throughput or full_system_simulation_rate or bench_sharded_datacenter or bench_fanout_jobs" \
+		-k "event_heap_throughput or full_system_simulation_rate or bench_fanout_jobs" \
 		--benchmark-json=BENCH_gate_candidate.json
 	$(PYTHON) tools/compare_bench.py $(BENCH_BASELINE) \
 		BENCH_gate_candidate.json --benchmarks $(BENCH_GATED)

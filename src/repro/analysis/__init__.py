@@ -17,7 +17,6 @@ from repro.analysis.effectiveness import (
 )
 from repro.analysis.tables import format_table
 from repro.analysis.ascii_plot import bar_chart, line_chart
-from repro.analysis.timeline import RequestTimeline, TimelineRecorder
 from repro.analysis.validation import validate_simulator
 
 __all__ = [
@@ -33,7 +32,5 @@ __all__ = [
     "format_table",
     "bar_chart",
     "line_chart",
-    "TimelineRecorder",
-    "RequestTimeline",
     "validate_simulator",
 ]

@@ -213,35 +213,14 @@ def build_system(
 
 
 def check_composition(
-    shards: Optional[int] = None,
-    control: Optional[ControlConfig] = None,
     kvs: Optional[KvsSpec] = None,
     request_factory: Optional[Callable[..., Any]] = None,
 ) -> None:
-    """Reject run layers that do not compose; every run entry point
-    (:func:`run_workload`, :func:`quick_run`, the runner's
-    ``execute_point``) calls this one rule set.
-
-    ``shards`` is the sharded-execution shard count, ``None`` for the
-    serial engine.  A controller's global actuations (policy swaps,
-    admin drains) and a KVS's shared store would both break the shards'
-    isolation, and a KVS workload supplies its own request factory.
+    """Reject run layers that do not compose: a KVS workload supplies
+    its own request factory.  :func:`run_workload` (and through it
+    :func:`quick_run`) and the runner's ``execute_point`` call this one
+    rule set.
     """
-    if shards is not None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1 (got {shards})")
-        if control is not None:
-            raise ValueError(
-                "controllers do not compose with sharded execution "
-                f"(shards={shards}, control={control.controller!r}); run "
-                "serially to attach a ControlConfig"
-            )
-        if kvs is not None:
-            raise ValueError(
-                "a KvsSpec does not compose with sharded execution "
-                f"(shards={shards}): the shared store would break the "
-                "shards' isolation; run serially to attach a data layer"
-            )
     if kvs is not None and request_factory is not None:
         raise ValueError("pass either kvs= or request_factory=, not both")
 
@@ -295,14 +274,7 @@ def run_workload(
     every control epoch and lets the configured controller actuate
     steering, threshold, drain, and capacity knobs mid-run.
     """
-    # A sharded coordinator fabric exposes its shard handles.
-    shard_handles = getattr(system, "shards", None)
-    check_composition(
-        shards=len(shard_handles) if shard_handles is not None else None,
-        control=control,
-        kvs=kvs,
-        request_factory=request_factory,
-    )
+    check_composition(kvs=kvs, request_factory=request_factory)
     if kvs is not None:
         workload = wire_kvs(system, sim, kvs, seed=streams.master_seed)
         request_factory = workload.request_factory
@@ -440,42 +412,17 @@ def quick_run(
     seed: int = 1,
     service: Optional[ServiceDistribution] = None,
     faults: Optional[FaultPlan] = None,
-    shards: Optional[int] = None,
-    shard_mode: str = "process",
     control: Optional[ControlConfig] = None,
     jobs: Optional[JobShape] = None,
     kvs: Optional[KvsSpec] = None,
 ) -> SimulationResult:
     """One-call simulation: Poisson arrivals, exponential service by
-    default, 10% warmup discarded.
-
-    ``shards`` switches the datacenter tier to sharded parallel-in-time
-    execution (see :mod:`repro.datacenter.sharded`); results are
-    bit-identical to the serial run.  ``shards=1`` is the sharded
-    machinery with one shard (the overhead baseline), ``None`` (default)
-    is the plain serial engine.  ``shard_mode`` is ``"process"`` or
-    ``"inprocess"``.  ``control`` attaches an adaptive control loop; see
-    :func:`check_composition` for the layers that do not compose.
+    default, 10% warmup discarded.  ``control`` attaches an adaptive
+    control loop.
     """
-    check_composition(shards=shards, control=control, kvs=kvs)
     streams = RandomStreams(seed)
-    if shards is not None:
-        if system != "datacenter":
-            raise ValueError(
-                f"shards is only supported for system='datacenter', "
-                f"got {system!r}"
-            )
-        from repro.datacenter.sharded import build_sharded_topology
-        from repro.sim.sharded import ShardedSimulator
-
-        sim = ShardedSimulator()
-        built = build_sharded_topology(
-            sim, streams, _default_datacenter_config(n_cores),
-            shards, mode=shard_mode,
-        )
-    else:
-        sim = Simulator()
-        built = build_system(system, sim, streams, n_cores)
+    sim = Simulator()
+    built = build_system(system, sim, streams, n_cores)
     return run_workload(
         built,
         sim,

@@ -251,12 +251,6 @@ class Fabric:
     fanned out by the sweep runner) exactly like a single server.
     """
 
-    #: Switch implementation.  The sharded coordinator substitutes a
-    #: boundary switch whose dispatch exports messages to remote shards;
-    #: everything wired against the switch (drop hook, metrics, fault
-    #: knobs) binds to whichever class this names.
-    switch_class = SwitchCore
-
     def __init__(
         self,
         sim: Simulator,
@@ -285,7 +279,7 @@ class Fabric:
         if config.tenants:
             self.tenant_slo = TenantSlo(config.tenants)
             self.completion_hooks.append(self.tenant_slo.record)
-        self.switch = self.switch_class(
+        self.switch = SwitchCore(
             sim,
             n_ports=config.n_members,
             bandwidth_gbps=config.bandwidth_gbps,

@@ -50,10 +50,11 @@ DropFn = Callable[[Request, int], None]
 class SwitchCore:
     """An output-queued switch stage with bounded per-port buffers.
 
-    Subclasses parameterize the trace vocabulary (``track``,
-    ``queue_mark``, ``tx_mark``) and the default metrics prefix; the
-    forwarding mechanics -- serialization, queueing, tail-drop,
-    partition blackholing, fault knobs -- live here once.
+    The owning fabric passes the trace track (from which the
+    ``queue_mark`` and ``tx_mark`` names derive) and the default
+    metrics prefix; the forwarding mechanics -- serialization,
+    queueing, tail-drop, partition blackholing, fault knobs -- live
+    here once.
 
     Parameters
     ----------
@@ -232,36 +233,7 @@ class SwitchCore:
         after the forwarding pipeline."""
         self._occupancy[port] -= 1
         self.forwarded += 1
-        self._dispatch(request, port, deliver)
-
-    def _dispatch(self, request: Request, port: int, deliver: DeliverFn) -> None:
-        """Hand a fully serialized request to the forwarding pipeline.
-
-        The seam the sharded datacenter overrides: the default schedules
-        ``deliver`` after the fixed pipeline latency on this switch's
-        simulator; a shard-boundary switch instead exports the message
-        to the remote shard's window batch.  Serialization, queueing and
-        drop accounting have already happened by the time this runs, so
-        an override changes *where* the request goes, never *when* the
-        fabric model says it arrives.
-        """
         self.sim.schedule(self.forward_latency_ns, deliver, request)
-
-    # ------------------------------------------------------------------
-    def min_transit_ns(self, size_bytes: int = 0) -> float:
-        """Guaranteed lower bound on this switch's fabric transit time.
-
-        A request entering :meth:`forward` at time ``t`` is delivered no
-        earlier than ``t + min_transit_ns(size)``: it must serialize for
-        at least the healthy-rate wire time (fault injection only ever
-        *lowers* port bandwidth -- ``set_port_bandwidth_factor`` accepts
-        factors in (0, 1] -- so the healthy rate bounds every port state)
-        and then cross the fixed forwarding pipeline.  Queueing and
-        degraded ports only add to that.  This is the conservative-PDES
-        lookahead the sharded runtime advances on: with ``size_bytes=0``
-        the bound holds for every message regardless of payload.
-        """
-        return self.forward_latency_ns + self.serialization_ns(size_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -107,13 +107,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="suppress live sweep progress on stderr",
     )
     parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="sharded parallel-in-time execution of datacenter sweep "
-             "points: partition each run per-rack across N worker "
-             "processes (bit-identical results; composes with --jobs; "
-             "forces --no-cache; non-datacenter points run serially)",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="export per-request lifecycle spans as Chrome trace-event "
              "JSON (chrome://tracing / Perfetto); implies --jobs 1 and "
@@ -167,27 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: --jobs must be >= 0, got {args.jobs}", file=sys.stderr)
         return 2
 
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
-    if args.shards > 1:
-        if args.trace is not None:
-            # Lifecycle traces are recorded shard-side in worker
-            # processes and never merged; refuse rather than silently
-            # emit an empty trace.
-            print("error: --trace is not supported with --shards > 1",
-                  file=sys.stderr)
-            return 2
-        if not args.no_cache:
-            # The cache key includes the shard count (deliberately, so
-            # an identity regression can't replay stale results), which
-            # would make sharded runs miss every serial entry and
-            # pollute the cache with duplicates; sharded runs always
-            # execute fresh.
-            print("[--shards forces --no-cache]", file=sys.stderr)
-            args.no_cache = True
-
     if args.cache_dir and not args.no_cache:
         try:
             from repro.runner import ResultCache
@@ -209,13 +181,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
     if args.controller is not None:
-        if args.shards > 1:
-            # A controller's actuations are global (policy swaps, admin
-            # drains) and cannot be replayed consistently across shard
-            # boundaries; refuse rather than silently diverge.
-            print("error: --controller is not supported with --shards > 1",
-                  file=sys.stderr)
-            return 2
         from repro.control import (
             CONTROLLER_NAMES,
             ControlConfig,
@@ -256,8 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # The run-shaping flags stamp PointSpec fields; a spec that sets its
     # own value keeps it (see repro.runner.run_points).
     spec_defaults = {}
-    if args.shards > 1:
-        spec_defaults["shards"] = args.shards
     if fault_plan is not None:
         spec_defaults["faults"] = fault_plan
     if control_cfg is not None:

@@ -140,15 +140,6 @@ class FaultInjector:
         for event in plan.expanded_events():
             sim.schedule_at(max(event.time_ns, sim.now), self._fire, event)
 
-        # A sharded coordinator mirrors the NIC-edge admission decision
-        # (health gate + drop coin) at message-ship time; it needs this
-        # injector's plan, RNG stream and counters to reproduce the
-        # serial decision stream exactly, so it registers interest via
-        # this optional duck hook.
-        attach = getattr(system, "on_fault_injector_attached", None)
-        if attach is not None:
-            attach(self)
-
     # ------------------------------------------------------------------
     # Ingress guards
     # ------------------------------------------------------------------

@@ -61,7 +61,7 @@ class RunnerConfig:
     content-addressed result cache. ``cache_dir``: cache root (``None``
     = :func:`repro.runner.cache.default_cache_dir`). ``progress``:
     live progress lines on stderr. ``spec_defaults``: ``PointSpec``
-    field values (the CLI's ``--shards``/``--faults``/``--controller``)
+    field values (the CLI's ``--faults``/``--controller``)
     stamped onto every spec whose field still has its declared default;
     see :func:`repro.runner.runner.run_points`.
     """

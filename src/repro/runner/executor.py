@@ -76,63 +76,25 @@ def execute_spec(
     return execute_point(spec)
 
 
-def _build_point(spec: PointSpec):
-    """Build the spec's system: serial, or sharded parallel-in-time.
-
-    The serial build is the historical one: fresh simulator, seeded
-    streams, ``builder(sim, streams)``.  With ``spec.shards > 1`` that
-    very build serves as a *probe*: if it produced a fabric of fabrics
-    (a :class:`~repro.cluster.fabric.Fabric` of depth >= 2, such as a
-    datacenter), the system is rebuilt from its config behind a window
-    coordinator (:mod:`repro.datacenter.sharded`, bit-identical
-    results); anything else cannot be partitioned at a top switch, and
-    the probe -- already the exact serial build -- is used as-is, so a
-    globally stamped ``--shards`` never breaks a mixed sweep.
-    """
-    request_factory = None
-    sim = Simulator()
-    streams = RandomStreams(spec.seed)
-    built = spec.builder.resolve()(sim, streams)
-    if isinstance(built, tuple):  # wired builder: (system, request_factory)
-        system, request_factory = built
-    else:
-        system = built
-    if spec.shards > 1 and request_factory is None:
-        from repro.cluster.fabric import Fabric
-
-        if isinstance(system, Fabric) and system.depth >= 2:
-            from repro.datacenter.sharded import build_sharded_topology
-            from repro.sim.sharded import ShardedSimulator
-
-            sim = ShardedSimulator()
-            streams = RandomStreams(spec.seed)
-            # A shard cannot hold less than one member; a globally
-            # stamped shard count is clamped, not an error.
-            system = build_sharded_topology(
-                sim, streams, system.config,
-                min(spec.shards, system.config.n_members),
-            )
-    return system, sim, streams, request_factory
-
-
 def execute_point(spec: PointSpec) -> PointResult:
     """Run one sweep point from scratch, deterministically.
 
     A fresh :class:`Simulator` and :class:`RandomStreams` seeded from
     the spec make the result independent of which process (or how many
     sibling points) executed it -- parallel sweeps are bit-identical to
-    serial ones.  ``spec.shards > 1`` swaps in the sharded datacenter
-    execution mode, which is likewise bit-identical by construction.
+    serial ones.
     """
-    # shards=1 is the serial engine; a wired builder's own request
-    # factory is checked against ``kvs`` by run_workload.
-    check_composition(
-        shards=None if spec.shards == 1 else spec.shards,
-        control=spec.control,
-        kvs=spec.kvs,
-        request_factory=spec.request_factory,
-    )
-    system, sim, streams, request_factory = _build_point(spec)
+    # A wired builder's own request factory is checked against ``kvs``
+    # by run_workload.
+    check_composition(kvs=spec.kvs, request_factory=spec.request_factory)
+    sim = Simulator()
+    streams = RandomStreams(spec.seed)
+    built = spec.builder.resolve()(sim, streams)
+    request_factory = None
+    if isinstance(built, tuple):  # wired builder: (system, request_factory)
+        system, request_factory = built
+    else:
+        system = built
     if spec.request_factory is not None:
         request_factory = spec.request_factory.resolve()()
     connections = (

@@ -212,13 +212,11 @@ def run_points(
     by default (bit-identical to the historical inline loops), parallel
     and cached when the CLI or benchmark harness configured it so.
 
-    The configuration's ``spec_defaults`` (the CLI's ``--shards``,
-    ``--faults`` and ``--controller``) are stamped onto every point spec
-    whose field still has its declared default, before hashing: the
-    stamped value is part of the spec, so it reaches worker processes
-    and keys the cache.  With ``shards > 1`` datacenter points execute
-    sharded (bit-identical results), other points fall back to serial
-    in the executor.
+    The configuration's ``spec_defaults`` (the CLI's ``--faults`` and
+    ``--controller``) are stamped onto every point spec whose field
+    still has its declared default, before hashing: the stamped value
+    is part of the spec, so it reaches worker processes and keys the
+    cache.
     """
     cfg = config if config is not None else get_config()
     if cfg.spec_defaults:

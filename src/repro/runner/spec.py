@@ -46,7 +46,8 @@ from repro.workload.service import ServiceDistribution
 #: 5: PointSpec grew the ``control`` ControlConfig field.
 #: 6: PointSpec grew the ``jobs`` JobShape field.
 #: 7: PointSpec grew the ``kvs`` KvsSpec field.
-SPEC_SCHEMA_VERSION = 7
+#: 8: PointSpec lost the ``shards`` field.
+SPEC_SCHEMA_VERSION = 8
 
 
 class SpecError(TypeError):
@@ -169,17 +170,9 @@ class PointSpec:
     #: (``None`` = the fault-free fast path).  FaultPlan is a frozen
     #: dataclass of primitives, so it pickles and content-hashes cleanly.
     faults: Optional[FaultPlan] = None
-    #: Sharded parallel-in-time execution of the datacenter tier
-    #: (see :mod:`repro.datacenter.sharded`): >1 partitions the run
-    #: per-rack across worker processes.  Results are bit-identical to
-    #: ``shards=1`` (the serial engine); the field still participates in
-    #: the cache key so an identity regression can never replay a stale
-    #: cached result from the other execution mode.
-    shards: int = 1
     #: Adaptive control loop attached to the run (``None`` = no loop,
     #: the sense-only fast path).  ControlConfig is a frozen dataclass
-    #: of primitives, so it pickles and content-hashes cleanly.  Does
-    #: not compose with ``shards > 1`` (the executor rejects it).
+    #: of primitives, so it pickles and content-hashes cleanly.
     control: Optional[ControlConfig] = None
     #: Job structure over the request stream (``None`` = plain
     #: independent requests, the fast path).  A JobShape is a dataclass
@@ -192,7 +185,7 @@ class PointSpec:
     #: into every leaf of the built system (``None`` = no data layer).
     #: KvsSpec is a frozen dataclass of primitives, so it pickles and
     #: content-hashes cleanly; mutually exclusive with an explicit
-    #: ``request_factory`` and with ``shards > 1``.
+    #: ``request_factory``.
     kvs: Optional[KvsSpec] = None
     #: Free-form label for progress display and result grouping; part of
     #: the identity (two differently-tagged identical runs cache apart).

@@ -11,7 +11,6 @@ reproduces the queueing behaviour all evaluated metrics derive from.
 from repro.sim.engine import Event, Simulator, SimulationError
 from repro.sim.rng import ExactDraws, RandomStreams
 from repro.sim.timer import PeriodicTimer
-from repro.sim.units import NS, US, MS, SEC, GHZ, cycles_to_ns, ns_to_cycles
 
 __all__ = [
     "Event",
@@ -20,11 +19,4 @@ __all__ = [
     "RandomStreams",
     "ExactDraws",
     "PeriodicTimer",
-    "NS",
-    "US",
-    "MS",
-    "SEC",
-    "GHZ",
-    "cycles_to_ns",
-    "ns_to_cycles",
 ]

@@ -382,130 +382,15 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_until_horizon(self, horizon: float) -> None:
-        """Run every event *strictly before* ``horizon``, never clamping.
-
-        The window primitive for conservative parallel-in-time execution
-        (:mod:`repro.sim.sharded`): a shard granted lookahead ``H`` may
-        execute all events with ``time < k*H`` without having seen
-        messages that arrive at or after ``k*H``.  Differences from
-        :meth:`run`:
-
-        * the bound is **exclusive** -- an event at exactly ``horizon``
-          belongs to the next window and stays queued;
-        * the clock is **never clamped** to ``horizon`` -- it stays at
-          the last executed event, so a later window (or the serial-run
-          drain clamp applied by the coordinator) observes the same
-          end-of-run clock the serial engine would;
-        * calls compose: the driver invokes this once per window on the
-          same simulator, so ``_running`` / ``_stopped`` bookkeeping is
-          left to the caller's :meth:`run`-equivalent (a ``stop`` posted
-          by a callback breaks out and stays latched for the driver).
-        """
-        if self._stopped:
-            return
-        heap = self._heap
-        free = self._free
-        pop = heappop
-        getref = _getrefcount
-        event = None
-        while heap:
-            if self._stopped:
-                # ``event`` is the stopping event: nothing was popped
-                # since it ran.
-                self._advance_cut((event.time, event.seq))
-                return
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                pop(heap)
-                self._dead -= 1
-                entry = None
-                if (
-                    getref is not None
-                    and getref(event) == 2
-                    and len(free) < _FREE_LIST_MAX
-                ):
-                    event.fn = None
-                    event.args = None
-                    free.append(event)
-                continue
-            time = entry[0]
-            if time >= horizon:
-                break
-            pop(heap)
-            entry = None  # drop the tuple's reference for the recycle check
-            self.now = time
-            self._events_processed += 1
-            event.fired = True
-            event.fn(*event.args)
-            if (
-                getref is not None
-                and getref(event) == 2
-                and len(free) < _FREE_LIST_MAX
-            ):
-                event.fn = None
-                event.args = None
-                free.append(event)
-        self._advance_cut((horizon, -_INF))
-
     def _advance_cut(self, cut: Tuple[float, float]) -> None:
         """Move :attr:`end_cut` forward to ``cut`` (never back: a run
         that ends below an earlier one has not un-fired anything)."""
         if cut > self.end_cut:
             self.end_cut = cut
 
-    def advance_clock(self, time: float) -> None:
-        """Advance the clock to ``time`` without executing anything.
-
-        Used by the sharded coordinator to interleave replayed shard
-        records with its own heap: the clock must sit at each record's
-        timestamp while it is applied, exactly where the serial engine's
-        clock would have been.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot advance clock to {time} (now = {self.now}); "
-                "time is monotonic"
-            )
-        self.now = time
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if none remain.
-
-        Reaps lazily-cancelled entries off the top while looking, so the
-        answer reflects work that will actually fire.
-        """
-        heap = self._heap
-        free = self._free
-        pop = heappop
-        getref = _getrefcount
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if not event.cancelled:
-                return entry[0]
-            pop(heap)
-            self._dead -= 1
-            entry = None
-            if (
-                getref is not None
-                and getref(event) == 2
-                and len(free) < _FREE_LIST_MAX
-            ):
-                event.fn = None
-                event.args = None
-                free.append(event)
-        return None
-
     def stop(self) -> None:
         """Request that :meth:`run` return after the current callback."""
         self._stopped = True
-
-    @property
-    def stopped(self) -> bool:
-        """True once :meth:`stop` has been requested for the active run."""
-        return self._stopped
 
     # ------------------------------------------------------------------
     # Introspection

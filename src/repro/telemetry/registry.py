@@ -184,9 +184,6 @@ class MetricRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
         self._children: List[Tuple[str, "MetricRegistry"]] = []
-        #: Pre-captured flat snapshots merged in at snapshot time (the
-        #: sharded tier's harvested per-shard registries).
-        self._snapshots: List[Tuple[str, Dict[str, Any]]] = []
 
     # ------------------------------------------------------------------
     # Registration
@@ -233,20 +230,6 @@ class MetricRegistry:
             raise MetricError("child registry already attached")
         self._children.append((prefix, child))
 
-    def attach_snapshot(self, prefix: str, values: Dict[str, Any]) -> None:
-        """Merge a pre-captured flat snapshot under ``prefix.``.
-
-        The cross-process analogue of :meth:`attach_child`: a worker
-        shard snapshots its own registry, ships the flat dict over the
-        pipe, and the coordinator attaches it here so one
-        :meth:`snapshot` covers the whole sharded run.  The values are
-        frozen data, not live instruments, so they appear in snapshots
-        but deliberately not in :meth:`schema` (the schema gate pins the
-        serial topology's live instrument set).
-        """
-        validate_namespace(prefix)
-        self._snapshots.append((prefix, dict(values)))
-
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
@@ -282,9 +265,6 @@ class MetricRegistry:
             for cprefix, child in self._children:
                 for name, value in child.snapshot().items():
                     out[f"{cprefix}.{name}"] = value
-            for cprefix, values in self._snapshots:
-                for name, value in values.items():
-                    out[f"{cprefix}.{name}"] = value
             return out
         validate_namespace(prefix)
         dotted = prefix + "."
@@ -299,13 +279,6 @@ class MetricRegistry:
                 continue
             for name, value in child.snapshot(sub).items():
                 out[f"{cprefix}.{name}"] = value
-        for cprefix, values in self._snapshots:
-            sub = self._narrow(prefix, dotted, cprefix)
-            if sub is _SKIP:
-                continue
-            for name, value in values.items():
-                if sub is None or name == sub or name.startswith(sub + "."):
-                    out[f"{cprefix}.{name}"] = value
         return out
 
     @staticmethod

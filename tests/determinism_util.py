@@ -46,16 +46,6 @@ FAULTED_GOLDEN_SYSTEMS = (
     "altocumulus+faults", "rack+faults", "datacenter+faults",
 )
 
-#: Sharded golden entries: the datacenter workload executed through the
-#: conservative parallel-in-time coordinator
-#: (:mod:`repro.datacenter.sharded`).  A ``"+sharded<N>"`` suffix runs
-#: the same configuration with ``quick_run(shards=N)``; the fingerprints
-#: must equal the corresponding serial entries bit-for-bit, which these
-#: entries pin permanently (including under fault injection).
-SHARDED_GOLDEN_SYSTEMS = (
-    "datacenter+sharded2", "datacenter+faults+sharded2",
-)
-
 #: Controlled golden entries: the same fixed workloads with an adaptive
 #: control plane attached (:mod:`repro.control`).  A ``"+ctl:<name>"``
 #: suffix runs the entry with ``ControlConfig(controller=name)``.  The
@@ -95,11 +85,11 @@ KVS_GOLDEN_SYSTEMS = (
     "altocumulus+crew-mv", "rack+dcrew-hotkey",
 )
 
-#: Every golden entry (plain, faulted, sharded, controlled, jobs, then
-#: the KVS data layer).
+#: Every golden entry (plain, faulted, controlled, jobs, then the KVS
+#: data layer).
 ALL_GOLDEN_SYSTEMS = (
-    GOLDEN_SYSTEMS + FAULTED_GOLDEN_SYSTEMS + SHARDED_GOLDEN_SYSTEMS
-    + CONTROLLED_GOLDEN_SYSTEMS + JOB_GOLDEN_SYSTEMS + KVS_GOLDEN_SYSTEMS
+    GOLDEN_SYSTEMS + FAULTED_GOLDEN_SYSTEMS + CONTROLLED_GOLDEN_SYSTEMS
+    + JOB_GOLDEN_SYSTEMS + KVS_GOLDEN_SYSTEMS
 )
 
 _GOLDEN_RETRY = RetryPolicy(
@@ -151,9 +141,6 @@ GOLDEN_FAULT_PLANS: Dict[str, FaultPlan] = {
     ),
 }
 
-#: ``"<entry>+sharded<N>"`` suffix: run the entry with ``shards=N``.
-_SHARDED_RE = re.compile(r"\+sharded(\d+)$")
-
 #: ``"<entry>+ctl:<name>"`` suffix: run the entry with an attached
 #: ``ControlConfig(controller=name)`` at the library-default epoch.
 _CTL_RE = re.compile(r"\+ctl:([a-z_]+)$")
@@ -202,9 +189,7 @@ def run_golden(system: str):
 
     ``system`` may be a plain registered name, a ``"<name>+faults"``
     entry (same workload under that entry's fault plan), and/or carry a
-    ``"+sharded<N>"`` suffix (same workload through the sharded
-    parallel-in-time coordinator with N shards), a ``"+ctl:<name>"``
-    suffix (same workload with that adaptive controller attached), or a
+    ``"+ctl:<name>"`` suffix (same workload with that adaptive controller attached), or a
     ``"+fanout"`` / ``"+gang"`` suffix (same workload grouped into the
     fixed golden job shapes), or a ``"+crew-mv"`` / ``"+dcrew-hotkey"``
     suffix (same workload driven through the MICA data layer under that
@@ -229,16 +214,11 @@ def run_golden(system: str):
     if ctl is not None:
         control = ControlConfig(controller=ctl.group(1))
         system = system[: ctl.start()]
-    shards: Optional[int] = None
-    sharded = _SHARDED_RE.search(system)
-    if sharded is not None:
-        shards = int(sharded.group(1))
-        system = system[: sharded.start()]
     faults: Optional[FaultPlan] = GOLDEN_FAULT_PLANS.get(system)
     if faults is not None:
         system = system.rsplit("+", 1)[0]
-    return quick_run(system=system, faults=faults, shards=shards,
-                     control=control, jobs=jobs, kvs=kvs, **GOLDEN_PARAMS)
+    return quick_run(system=system, faults=faults, control=control,
+                     jobs=jobs, kvs=kvs, **GOLDEN_PARAMS)
 
 
 def run_fingerprint(system: str) -> Dict[str, object]:

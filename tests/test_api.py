@@ -102,86 +102,35 @@ def _noop_factory():  # pragma: no cover - never resolved
     return None
 
 
-def _layers(rule):
-    """(shards, layer kwargs, with a request factory?) breaking ``rule``."""
-    from repro.control import ControlConfig
+def _via_execute_point():
     from repro.kvs.ownership import KvsSpec
-
-    return {
-        "shards_min": (0, {}, False),
-        "control_x_shards": (2, {"control": ControlConfig()}, False),
-        "kvs_x_shards": (2, {"kvs": KvsSpec()}, False),
-        "kvs_x_request_factory": (None, {"kvs": KvsSpec()}, True),
-    }[rule]
-
-
-def _via_quick_run(rule):
-    shards, layers, _ = _layers(rule)
-    quick_run(system="datacenter", n_cores=16, n_requests=100,
-              shards=shards, **layers)
-
-
-def _via_execute_point(rule):
     from repro.runner import PointSpec, execute_point, ref
 
-    shards, layers, with_factory = _layers(rule)
-    if with_factory:
-        layers["request_factory"] = ref(_noop_factory)
     execute_point(PointSpec(
         builder=ref(_point_builder), service=Fixed(500.0), rate_rps=1e6,
-        n_requests=100, shards=1 if shards is None else shards, **layers,
+        n_requests=100, kvs=KvsSpec(), request_factory=ref(_noop_factory),
     ))
 
 
-def _via_run_workload(rule):
-    from repro.api import _default_datacenter_config
-    from repro.datacenter.sharded import build_sharded_topology
-    from repro.sim.sharded import ShardedSimulator
+def _via_run_workload():
+    from repro.kvs.ownership import KvsSpec
 
-    shards, layers, with_factory = _layers(rule)
-    streams = RandomStreams(1)
-    if shards is None:
-        sim = Simulator()
-        system = build_system("rss", sim, streams, 4)
-    else:
-        sim = ShardedSimulator()
-        system = build_sharded_topology(
-            sim, streams, _default_datacenter_config(16), shards,
-            mode="inprocess",
-        )
-    if with_factory:
-        layers["request_factory"] = lambda request: None
+    sim, streams = Simulator(), RandomStreams(1)
+    system = build_system("rss", sim, streams, 4)
     run_workload(system, sim, streams, PoissonArrivals(1e6), Fixed(500.0),
-                 n_requests=100, **layers)
+                 n_requests=100, kvs=KvsSpec(),
+                 request_factory=lambda request: None)
 
 
 _ENTRY_POINTS = {
-    "quick_run": _via_quick_run,
     "execute_point": _via_execute_point,
     "run_workload": _via_run_workload,
 }
 
-_RULE_MESSAGES = {
-    "shards_min": "shards must be >= 1",
-    "control_x_shards": "controllers do not compose with sharded",
-    "kvs_x_shards": "KvsSpec does not compose with sharded",
-    "kvs_x_request_factory": "not both",
-}
-
-#: Combinations an entry point cannot even express: quick_run takes no
-#: request factory, and a built sharded system has at least one shard.
-_INEXPRESSIBLE = {
-    ("kvs_x_request_factory", "quick_run"),
-    ("shards_min", "run_workload"),
-}
-
-
+#: quick_run takes no request factory, so it cannot break the rule.
 @pytest.mark.parametrize("rule,entry", [
-    (rule, entry)
-    for rule in sorted(_RULE_MESSAGES)
-    for entry in sorted(_ENTRY_POINTS)
-    if (rule, entry) not in _INEXPRESSIBLE
+    ("kvs_x_request_factory", entry) for entry in sorted(_ENTRY_POINTS)
 ])
 def test_composition_rule_at_every_entry_point(rule, entry):
-    with pytest.raises(ValueError, match=_RULE_MESSAGES[rule]):
-        _ENTRY_POINTS[entry](rule)
+    with pytest.raises(ValueError, match="not both"):
+        _ENTRY_POINTS[entry]()

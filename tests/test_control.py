@@ -3,8 +3,7 @@
 Covers the config/registry surface, the runtime-mutable knobs the
 controllers actuate (steering staleness/width/cadence, health penalty,
 worker counts), the admin-drain overlay, policy swaps with bound
-instruments, worker reassignment, and the composition rules (sharded
-rejection, CLI validation, determinism).
+instruments, worker reassignment, CLI validation and determinism.
 """
 
 import dataclasses
@@ -389,45 +388,12 @@ class TestControlLoopEndToEnd:
         ]
 
 
-class TestShardComposition:
-    def test_quick_run_rejects_control_with_shards(self):
-        with pytest.raises(ValueError, match="sharded"):
-            quick_run(system="datacenter", shards=2, n_requests=100,
-                      control=ControlConfig(controller="static"))
-
-    def test_executor_rejects_control_with_shards(self):
-        from repro.experiments.fig_datacenter import datacenter_builder
-        from repro.runner import PointSpec, ref
-        from repro.runner.executor import execute_point
-
-        spec = PointSpec(
-            builder=ref(datacenter_builder, mix="uniform"),
-            service=Exponential(1000.0),
-            rate_rps=1e6,
-            n_requests=100,
-            seed=1,
-            shards=2,
-            control=ControlConfig(controller="hysteresis"),
-        )
-        with pytest.raises(ValueError, match="shards"):
-            execute_point(spec)
-
-
 class TestCliValidation:
     def test_epoch_without_controller_rejected(self, capsys):
         from repro.experiments.cli import main
 
         assert main(["quickstart", "--control-epoch-ns", "5000"]) == 2
         assert "--control-epoch-ns requires --controller" in (
-            capsys.readouterr().err
-        )
-
-    def test_controller_with_shards_rejected(self, capsys):
-        from repro.experiments.cli import main
-
-        assert main(["fig_datacenter", "--controller", "static",
-                     "--shards", "2"]) == 2
-        assert "--controller is not supported with --shards" in (
             capsys.readouterr().err
         )
 

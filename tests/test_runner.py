@@ -332,6 +332,33 @@ class TestConfigPlumbing:
         run_points([_point(n_requests=400)], config=cfg)
         assert cfg.counters.cache_hits == 1
 
+    def test_run_points_stamps_unset_specs(self, monkeypatch):
+        import repro.runner.runner as runner_mod
+        from repro.control import ControlConfig
+        from repro.faults import FaultEvent, FaultPlan
+
+        captured = []
+        monkeypatch.setattr(
+            runner_mod.SweepRunner, "run",
+            lambda self, specs: captured.extend(specs),
+        )
+        plan = FaultPlan(events=(FaultEvent(time_ns=1.0, kind="server_crash",
+                                            target=0),))
+        own_plan = FaultPlan(events=(FaultEvent(time_ns=2.0,
+                                                kind="server_crash",
+                                                target=1),))
+        control = ControlConfig(controller="static")
+        own_control = ControlConfig(controller="hysteresis")
+        defaults = {"faults": plan, "control": control}
+        run_points(
+            [_point(), _point(faults=own_plan, control=own_control)],
+            config=RunnerConfig(spec_defaults=defaults),
+        )
+        unset, explicit = captured
+        # Unset specs take the configured values; explicit values win.
+        assert (unset.faults, unset.control) == (plan, control)
+        assert (explicit.faults, explicit.control) == (own_plan, own_control)
+
 
 class TestFigureDeterminism:
     """End-to-end: a real figure module produces identical tables under

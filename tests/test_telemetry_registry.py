@@ -164,7 +164,10 @@ class TestFilteredSnapshot:
         child.counter("cluster.decisions").inc(5)
         child.counter("queue.len").inc(2)
         root.attach_child("rack0", child)
-        root.attach_snapshot("shard1", {"cluster.decisions": 9, "other": 1})
+        sibling = MetricRegistry()
+        sibling.counter("cluster.decisions").inc(9)
+        sibling.counter("queue.len").inc(1)
+        root.attach_child("rack1", sibling)
         return root
 
     def test_prefix_selects_own_namespace(self):
@@ -195,12 +198,6 @@ class TestFilteredSnapshot:
             "rack0.queue.len": 2,
         }
 
-    def test_prefix_filters_attached_snapshots(self):
-        root = self._hierarchy()
-        assert root.snapshot("shard1.cluster") == {
-            "shard1.cluster.decisions": 9,
-        }
-
     def test_disjoint_prefix_is_empty(self):
         root = self._hierarchy()
         assert root.snapshot("nothing") == {}
@@ -213,7 +210,7 @@ class TestFilteredSnapshot:
         root = self._hierarchy()
         full = root.snapshot()
         for prefix in ("faults", "faults.retry", "system", "rack0",
-                       "rack0.cluster", "shard1"):
+                       "rack0.cluster", "rack1"):
             expected = {
                 name: value for name, value in full.items()
                 if name == prefix or name.startswith(prefix + ".")
@@ -225,5 +222,5 @@ class TestFilteredSnapshot:
         full = root.snapshot()
         assert full["system.completed"] == 11
         assert full["rack0.queue.len"] == 2
-        assert full["shard1.other"] == 1
+        assert full["rack1.queue.len"] == 1
         assert len(full) == 7
