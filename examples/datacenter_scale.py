@@ -88,9 +88,9 @@ def main() -> None:
             policy,
             result.latency.p50 / 1000.0,
             result.latency.p99 / 1000.0,
-            result.extra["datacenter.imbalance_index"],
+            result.metrics["datacenter.imbalance_index"],
             " ".join(
-                f"{name}={result.extra[f'tenant.{name}.attainment']:.3f}"
+                f"{name}={result.metrics[f'tenant.{name}.attainment']:.3f}"
                 for name in mix.names
             ),
         ])

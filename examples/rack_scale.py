@@ -56,7 +56,7 @@ def main() -> None:
             result.latency.p50 / 1000.0,
             result.latency.p99 / 1000.0,
             result.throughput_rps / 1e6,
-            result.extra["cluster.imbalance_index"],
+            result.metrics["cluster.imbalance_index"],
         ])
 
     print(

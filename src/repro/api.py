@@ -36,7 +36,7 @@ from repro.schedulers.rss_plus_plus import RssPlusPlusSystem
 from repro.schedulers.work_stealing import ZygosSystem
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.telemetry import record_run
+from repro.telemetry import MetricRegistry, record_run
 from repro.workload.arrivals import ArrivalProcess, PoissonArrivals
 from repro.workload.connections import ConnectionPool
 from repro.workload.generator import LoadGenerator
@@ -60,9 +60,9 @@ _MAX_HORIZON_NS = 10**15
 class JobRunSummary:
     """Job-level outcome of a job-structured run (``None`` otherwise).
 
-    The same numbers also travel flat under the ``job.*`` namespace of
-    ``SimulationResult.extra`` so they cross the sweep runner's process
-    boundary and cache without any schema change.
+    The same numbers are also bound as ``job.*`` instruments on the
+    system's registry, so they cross the sweep runner's process boundary
+    and cache inside the registry snapshot.
     """
 
     #: Jobs emitted / completed (all siblings ok) / dropped (any failed).
@@ -79,6 +79,28 @@ class JobRunSummary:
     records: Sequence[Job] = field(default_factory=tuple)
 
 
+def _register_job_instruments(
+    registry: MetricRegistry, summary: JobRunSummary
+) -> None:
+    """Bind ``job.*`` instruments to a finished run's job summary; the
+    latency entries exist only when some job was measured."""
+    latency = summary.latency
+    registry.counter("job.count", fn=lambda: summary.count)
+    registry.counter("job.completed", fn=lambda: summary.completed)
+    registry.counter("job.dropped", fn=lambda: summary.dropped)
+    registry.counter("job.subrequests", fn=lambda: summary.subrequests)
+    registry.counter("job.measured", fn=lambda: latency.count)
+    registry.gauge("job.mean_fanout", fn=lambda: summary.mean_fanout)
+    registry.gauge(
+        "job.mean_core_demand", fn=lambda: summary.mean_core_demand
+    )
+    if latency.count:
+        registry.gauge("job.mean_ns", fn=lambda: latency.mean)
+        registry.gauge("job.p50_ns", fn=lambda: latency.p50)
+        registry.gauge("job.p99_ns", fn=lambda: latency.p99)
+        registry.gauge("job.max_ns", fn=lambda: latency.maximum)
+
+
 @dataclass
 class SimulationResult:
     """Everything a caller needs after one run."""
@@ -91,9 +113,9 @@ class SimulationResult:
     sim_time_ns: float
     utilization: float
     dropped: int
-    extra: Dict[str, float] = field(default_factory=dict)
     #: Flat snapshot of the system's telemetry registry at shutdown
-    #: (``system.*``, ``noc.*``, ``messaging.m<i>.*``, ``cluster.*``...).
+    #: (``system.*``, ``noc.*``, ``messaging.m<i>.*``, ``cluster.*``,
+    #: ``job.*``...): the run's only channel for named metrics.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: The system instance, for post-run introspection (e.g. the
     #: Altocumulus ``predicted_ids`` set feeding prediction accuracy).
@@ -355,11 +377,6 @@ def run_workload(
     measured = generator.measured_requests()
     job_summary: Optional[JobRunSummary] = None
     if tracker is not None:
-        # Distill the job-level outcome into the ``job.*`` namespace
-        # (after shutdown's own scoped writes, before the registry
-        # snapshot, so it rides ``extra`` through the sweep cache).
-        measured_jobs = generator.measured_jobs()
-        job_latency = summarize_latencies(measured_jobs)
         n_jobs = len(generator.jobs)
         job_summary = JobRunSummary(
             count=n_jobs,
@@ -368,22 +385,10 @@ def run_workload(
             subrequests=generator.total_subrequests,
             mean_fanout=generator.total_subrequests / n_jobs,
             mean_core_demand=sum(generator._demands) / n_jobs,
-            latency=job_latency,
+            latency=summarize_latencies(generator.measured_jobs()),
             records=tuple(generator.jobs),
         )
-        scoped = system.stats.scoped("job")
-        scoped.put("count", job_summary.count)
-        scoped.put("completed", job_summary.completed)
-        scoped.put("dropped", job_summary.dropped)
-        scoped.put("subrequests", job_summary.subrequests)
-        scoped.put("measured", job_latency.count)
-        scoped.put("mean_fanout", job_summary.mean_fanout)
-        scoped.put("mean_core_demand", job_summary.mean_core_demand)
-        if job_latency.count:
-            scoped.put("mean_ns", job_latency.mean)
-            scoped.put("p50_ns", job_latency.p50)
-            scoped.put("p99_ns", job_latency.p99)
-            scoped.put("max_ns", job_latency.maximum)
+        _register_job_instruments(system.metrics, job_summary)
     registry = getattr(system, "metrics", None)
     metrics_snapshot = registry.snapshot() if registry is not None else {}
     record_run(system.name, metrics_snapshot)
@@ -396,7 +401,6 @@ def run_workload(
         sim_time_ns=sim.now,
         utilization=system.utilization(sim.now),
         dropped=system.stats.dropped,
-        extra=dict(system.stats.extra),
         metrics=metrics_snapshot,
         system=system,
         jobs=job_summary,

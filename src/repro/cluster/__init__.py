@@ -24,11 +24,7 @@ or, with full control::
 """
 
 from repro.cluster.fabric import Fabric, FabricConfig, build_fabric, tier_names
-from repro.cluster.metrics import (
-    fabric_summary,
-    imbalance_index,
-    per_member_completed,
-)
+from repro.cluster.metrics import imbalance_index, per_member_completed
 from repro.cluster.policies import (
     POLICY_NAMES,
     ConnectionHashSteering,
@@ -51,7 +47,6 @@ __all__ = [
     "SteeringPolicy",
     "SwitchCore",
     "build_fabric",
-    "fabric_summary",
     "imbalance_index",
     "make_policy",
     "per_member_completed",

@@ -22,7 +22,7 @@ fault plans -- drives any fabric unchanged.  Request flow::
         --> switch (serialization + queueing + forwarding latency)
         --> member ingress (a server's NIC, or a nested fabric's offer)
 
-Every name that differs between tiers -- summary namespace, member
+Every name that differs between tiers -- instrument namespace, member
 registry prefix, switch trace labels and metric prefix, RNG spawn names,
 the system-name label -- is looked up from the fabric's *depth* (1 =
 members are leaf servers) by :func:`tier_names`, never configured.
@@ -38,11 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from repro.cluster.metrics import (
-    TenantSlo,
-    fabric_summary,
-    register_fabric_instruments,
-)
+from repro.cluster.metrics import TenantSlo, register_fabric_instruments
 from repro.cluster.policies import (
     DEFAULT_D,
     DEFAULT_SAMPLE_PERIOD_NS,
@@ -61,7 +57,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry import MetricRegistry
 from repro.workload.request import Request
-from repro.workload.tenants import TenantClass, tenant_slo_summary
+from repro.workload.tenants import TenantClass
 
 
 class TierNames(NamedTuple):
@@ -69,12 +65,11 @@ class TierNames(NamedTuple):
 
     #: System-name label (``rack[...]``).
     label: str
-    #: Summary and instrument namespace (``cluster.*``).
+    #: Instrument namespace (``cluster.*``).
     namespace: str
     #: Member registry and steering-key prefix (``srv<i>``, ``steer_srv<i>``).
     member: str
-    #: Switch summary-key and metric segment (``switch_dropped``,
-    #: ``cluster.switch.*``).
+    #: Switch metric segment (``cluster.switch.*``).
     switch: str
     #: Switch trace track and mark prefix (``tor``, ``tor_queue``); also
     #: the prefix of the fault kinds that address this switch.
@@ -134,8 +129,8 @@ class FabricConfig:
     tenants:
         Optional multi-tenant traffic classes.  When non-empty the fabric
         accounts per-tenant SLO attainment live (instruments under
-        ``tenant.<name>.*``, summary into ``stats.extra``); the workload
-        should then draw connections from the matching
+        ``tenant.<name>.*``); the workload should then draw connections
+        from the matching
         :class:`~repro.workload.tenants.TenantConnectionPool`.
     """
 
@@ -411,23 +406,10 @@ class Fabric:
         return busy / (elapsed_ns * total_cores)
 
     def shutdown(self) -> None:
-        """Stop periodic machinery and distill fabric metrics into this
-        tier's namespace (and ``tenant.*``) of ``stats.extra`` so they
-        travel with every sweep result."""
+        """Stop periodic machinery, here and in every member."""
         self.policy.shutdown()
         for member in self.members:
             member.shutdown()
-        scoped = self.stats.scoped(self.names.namespace)
-        for key, value in fabric_summary(self).items():
-            scoped.put(key, value)
-        if self.tenant_slo is not None:
-            tenants = self.stats.scoped("tenant")
-            summary = tenant_slo_summary(
-                self.finished_requests, self.tenant_slo.mix
-            )
-            for name, entry in summary.items():
-                for key, value in entry.items():
-                    tenants.put(f"{name}.{key}", value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

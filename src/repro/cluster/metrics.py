@@ -9,13 +9,11 @@ rack, ``datacenter.*``/``rack<i>``/``spine`` for a datacenter):
 
 * :func:`imbalance_index` -- max/mean of any per-member quantity (1.0 is
   perfect balance; N is everything-on-one-member for N members).
-* :func:`fabric_summary` -- the flat ``dict`` a fabric writes through its
-  ``stats.scoped(<namespace>)`` adapter at shutdown, so every sweep
-  point carries its fabric metrics through the runner cache for free.
+* :func:`register_fabric_instruments` -- steering and balance as live
+  instruments in the fabric's :class:`~repro.telemetry.MetricRegistry`,
+  whose snapshot every sweep point carries through the runner cache.
   Pure counts stay ints; only genuinely fractional quantities are
   floats.
-* :func:`register_fabric_instruments` -- the same quantities as live
-  instruments in the fabric's :class:`~repro.telemetry.MetricRegistry`.
 * :class:`TenantSlo` -- live per-tenant SLO attainment, a completion
   hook plus ``tenant.<name>.*`` instruments.
 
@@ -26,7 +24,7 @@ registry as a child, so one snapshot already contains every level
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Union
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.workload.tenants import TenantClass, TenantMix
 
@@ -56,51 +54,22 @@ def per_member_completed(fabric: "Fabric") -> List[int]:
     return [member.stats.completed for member in fabric.members]
 
 
-def fabric_summary(fabric: "Fabric") -> Dict[str, Union[int, float]]:
-    """Flat metrics a fabric writes via ``stats.scoped(<namespace>)``.
-
-    Keys (``<switch>`` and ``<member>`` are the tier's names):
-
-    * ``imbalance_index`` -- max/mean of per-member completions.
-    * ``steer_imbalance`` -- max/mean of steering decisions (how uneven
-      the *policy* was, before any queueing happened).
-    * ``<switch>_dropped`` / ``<switch>_queue_wait_ns`` -- switch
-      accounting.
-    * ``steer_<member><i>`` -- requests steered to each member.
-    * ``steer_refreshes`` (power-of-d) / ``steer_samples``
-      (shortest-wait) -- how much telemetry the policy consumed.
-
-    Counts are ints (a JSON reader sees ``steer_srv0: 812``, not
-    ``812.0``); ratios and cumulative times are floats.
-    """
-    names = fabric.names
-    policy = fabric.policy
-    summary: Dict[str, Union[int, float]] = {
-        "imbalance_index": imbalance_index(per_member_completed(fabric)),
-        "steer_imbalance": imbalance_index(policy.decisions),
-        f"{names.switch}_dropped": int(fabric.switch.dropped),
-        f"{names.switch}_queue_wait_ns": fabric.switch.queue_wait_ns,
-    }
-    for i, count in enumerate(policy.decisions):
-        summary[f"steer_{names.member}{i}"] = int(count)
-    refreshes = getattr(policy, "refreshes", None)
-    if refreshes is not None:
-        summary["steer_refreshes"] = int(refreshes)
-    samples = getattr(policy, "samples_taken", None)
-    if samples is not None:
-        summary["steer_samples"] = int(samples)
-    return summary
-
-
 def register_fabric_instruments(
     fabric: "Fabric", registry: "MetricRegistry"
 ) -> None:
     """Bind live ``<namespace>.*`` instruments for a fabric.
 
-    Complements :func:`fabric_summary`: the summary is a one-shot dict
-    for the ``extra`` channel, while these instruments read the same
-    live state (through ``fabric.policy``, so a runtime policy swap
-    stays visible) at every registry snapshot.
+    They read live state (through ``fabric.policy``, so a runtime
+    policy swap stays visible) at every registry snapshot:
+
+    * ``imbalance_index`` -- max/mean of per-member completions.
+    * ``steer_imbalance`` -- max/mean of steering decisions (how uneven
+      the *policy* was, before any queueing happened).
+    * ``steer_<member><i>`` -- requests steered to each member.
+    * ``steer_refreshes`` (power-of-d) / ``steer_samples``
+      (shortest-wait) -- how much telemetry the policy consumed.
+
+    Switch accounting lives under ``<namespace>.<switch>.*``.
     """
     ns = fabric.names.namespace
     member = fabric.names.member

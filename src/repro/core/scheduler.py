@@ -110,7 +110,6 @@ class AltocumulusSystem(RpcSystem):
         self._tick_running = False
         #: Requests ever selected for migration (prediction-accuracy metric).
         self.predicted_ids: Set[int] = set()
-        # Scheduler-level instruments (the former ad-hoc ``extra`` keys).
         self._m_desc_received = self.metrics.counter(
             "sched.descriptors_received"
         )

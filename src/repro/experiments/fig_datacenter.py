@@ -152,7 +152,7 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
             point = results[cursor]
             cursor += 1
             attain = [
-                point.extra.get(f"tenant.{t}.attainment", 1.0)
+                point.instruments[f"tenant.{t}.attainment"]
                 for t in tenant_names
             ]
             rows.append([
@@ -161,7 +161,7 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
                 round(point.p99_ns / 1000.0, 2),
                 round(point.mean_ns / 1000.0, 2),
                 round(point.throughput_rps / 1e6, 2),
-                round(point.extra.get("datacenter.imbalance_index", 0.0), 3),
+                round(point.instruments["datacenter.imbalance_index"], 3),
                 " ".join(
                     f"{t}={a:.3f}" for t, a in zip(tenant_names, attain)
                 ),

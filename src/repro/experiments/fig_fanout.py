@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.experiments.common import ExperimentResult, scaled
 from repro.experiments.fig_rack import rack_builder
-from repro.runner import PointSpec, ref, run_points
+from repro.runner import PointResult, PointSpec, ref, run_points
 from repro.schedulers.jbsq import ideal_cfcfs
 from repro.workload.jobs import FixedDegree, JobShape
 from repro.workload.service import Exponential
@@ -147,6 +147,18 @@ def _gang_specs(
     return specs
 
 
+def _outcome(point: PointResult) -> List[int]:
+    """``[completed, dropped]`` jobs of one point.  A k=1 or c=1 point
+    compiles down to the flat path (no ``job.*`` instruments), where a
+    1-wide job's outcome is its request's -- counted over every request,
+    like ``job.*``, not just the measured post-warm-up ones."""
+    instruments = point.instruments
+    return [
+        int(instruments.get("job.completed", instruments["system.completed"])),
+        int(instruments.get("job.dropped", point.dropped)),
+    ]
+
+
 def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     """Regenerate the fan-out / gang-admission comparison."""
     fanout = _fanout_specs(scaled(16_000, scale), seed)
@@ -161,10 +173,10 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     rows: List[List[object]] = []
     series: Dict[str, List[Optional[float]]] = {}
     for (policy, k, spec), point in zip(fanout, fanout_results):
-        # k=1 compiles down to the flat request path (no job.* extras by
-        # contract); a 1-wide job's latency IS its request's latency.
-        job_p99 = point.extra.get("job.p99_ns", point.latency.p99)
-        job_mean = point.extra.get("job.mean_ns", point.latency.mean)
+        # k=1 compiles down to the flat request path (no job.* instruments
+        # by contract); a 1-wide job's latency IS its request's latency.
+        job_p99 = point.instruments.get("job.p99_ns", point.latency.p99)
+        job_mean = point.instruments.get("job.mean_ns", point.latency.mean)
         series.setdefault(f"fanout:{policy}", []).append(job_p99 / 1000.0)
         rows.append([
             "fanout",
@@ -172,8 +184,7 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
             k,
             round(job_p99 / 1000.0, 2),
             round(job_mean / 1000.0, 2),
-            int(point.extra.get("job.completed", point.latency.count)),
-            int(point.extra.get("job.dropped", point.dropped)),
+            *_outcome(point),
         ])
     for (demand, load, spec), point in zip(gang, gang_results):
         wait = point.metrics.get("mean_wait_ns")
@@ -184,14 +195,11 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
             "gang",
             f"c={demand}",
             load,
-            round(point.extra.get("job.p99_ns", point.latency.p99) / 1000.0,
-                  2),
+            round(point.instruments.get("job.p99_ns", point.latency.p99)
+                  / 1000.0, 2),
             "-" if wait is None or wait != wait
             else round(wait / 1000.0, 3),
-            # c=1 compiles down to the flat path (no job.* extras), so a
-            # 1-wide job's completions are its requests'.
-            int(point.extra.get("job.completed", point.latency.count)),
-            int(point.extra.get("job.dropped", point.dropped)),
+            *_outcome(point),
         ])
     return ExperimentResult(
         exp_id="fig_fanout",

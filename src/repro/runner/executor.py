@@ -33,15 +33,14 @@ class PointResult:
     sim_time_ns: float
     utilization: float
     dropped: int
-    #: ``SimulationResult.extra`` counters (migration descriptors, ...).
-    extra: Dict[str, float] = field(default_factory=dict)
     #: Fraction of measured requests exceeding the spec's ``slo_ns``
     #: (``None`` when the spec did not carry an SLO).
     violation_ratio: Optional[float] = None
     #: Output of the spec's ``metrics`` hook, computed in the worker.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: ``SimulationResult.metrics``: the system's telemetry-registry
-    #: snapshot, serialized through the content-addressed cache.
+    #: snapshot, serialized through the content-addressed cache -- every
+    #: named metric of the run (``system.*``, ``cluster.*``, ``job.*``...).
     instruments: Dict[str, Any] = field(default_factory=dict)
     #: Set by the runner when this result came from the cache rather
     #: than a fresh execution.  Not part of the cached payload.
@@ -145,7 +144,6 @@ def execute_point(spec: PointSpec) -> PointResult:
         sim_time_ns=result.sim_time_ns,
         utilization=result.utilization,
         dropped=result.dropped,
-        extra=dict(result.extra),
         violation_ratio=violation,
         metrics=metrics,
         instruments=dict(result.metrics),

@@ -47,7 +47,8 @@ from repro.workload.service import ServiceDistribution
 #: 6: PointSpec grew the ``jobs`` JobShape field.
 #: 7: PointSpec grew the ``kvs`` KvsSpec field.
 #: 8: PointSpec lost the ``shards`` field.
-SPEC_SCHEMA_VERSION = 8
+#: 9: PointResult lost the ``extra`` field; ``job.*`` rides ``instruments``.
+SPEC_SCHEMA_VERSION = 9
 
 
 class SpecError(TypeError):

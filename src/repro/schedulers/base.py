@@ -25,56 +25,15 @@ attribute check.
 from __future__ import annotations
 
 import abc
-import warnings
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Union
+from typing import List, Optional
 
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
 from repro.hw.cores import Core
 from repro.hw.nic import DeliveryModel, HwTerminatedDelivery
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.telemetry import (
-    MetricNamespaceError,
-    MetricRegistry,
-    trace_sink,
-    validate_namespace,
-)
+from repro.telemetry import MetricRegistry, trace_sink
 from repro.workload.request import Request
-
-Number = Union[int, float]
-
-
-class ScopedStats:
-    """Namespaced write adapter for :attr:`SystemStats.extra`.
-
-    Every free-form stat travels under a ``namespace.key`` name, and the
-    first namespace to write a full key owns it -- a second namespace
-    producing the same full key (e.g. ``a`` writing ``cluster.x`` vs
-    ``a.cluster`` writing ``x``) raises :class:`MetricNamespaceError`
-    instead of silently merging, which is how cluster metrics used to
-    collide with scheduler-written keys.
-
-    ``incr`` defaults to an integer amount so pure counters stay ints
-    all the way to JSON.
-    """
-
-    __slots__ = ("_stats", "namespace")
-
-    def __init__(self, stats: "SystemStats", namespace: str) -> None:
-        self._stats = stats
-        self.namespace = validate_namespace(namespace)
-
-    def incr(self, key: str, amount: Number = 1) -> None:
-        """Add ``amount`` to ``namespace.key`` (int-preserving)."""
-        self._stats._write(self.namespace, key, amount, add=True)
-
-    def put(self, key: str, value: Number) -> None:
-        """Set ``namespace.key`` to ``value``."""
-        self._stats._write(self.namespace, key, value, add=False)
-
-    def get(self, key: str, default: Number = 0) -> Number:
-        return self._stats._extra.get(f"{self.namespace}.{key}", default)
 
 
 class SystemStats:
@@ -83,10 +42,8 @@ class SystemStats:
     The core counts (offered/completed/dropped/scheduling) stay plain
     writable attributes -- the hot paths increment them directly and
     tests may assign them -- while the registry observes them through
-    bound instruments under ``system.*``.  Free-form stats go through
-    :meth:`scoped` (a namespaced :class:`ScopedStats` adapter); the
-    legacy :meth:`bump` is deprecated and funnels into the ``adhoc``
-    namespace.
+    bound instruments under ``system.*``.  Any other named metric is an
+    instrument registered on the same registry.
     """
 
     __slots__ = (
@@ -96,8 +53,6 @@ class SystemStats:
         "dropped",
         "scheduling_ops",
         "scheduling_ns",
-        "_extra",
-        "_extra_owner",
     )
 
     def __init__(self, registry: Optional[MetricRegistry] = None) -> None:
@@ -106,8 +61,6 @@ class SystemStats:
         self.dropped = 0
         self.scheduling_ops = 0
         self.scheduling_ns = 0.0
-        self._extra: Dict[str, Number] = {}
-        self._extra_owner: Dict[str, str] = {}
         self.registry = registry if registry is not None else MetricRegistry()
         reg = self.registry
         reg.counter("system.offered", fn=lambda: self.offered)
@@ -115,57 +68,13 @@ class SystemStats:
         reg.counter("system.dropped", fn=lambda: self.dropped)
         reg.counter("system.scheduling_ops", fn=lambda: self.scheduling_ops)
         reg.counter("system.scheduling_ns", fn=lambda: self.scheduling_ns)
-        reg.gauge("system.extra", fn=lambda: dict(self._extra))
-
-    @property
-    def extra(self) -> Mapping[str, Number]:
-        """Read-only view of the namespaced free-form stats.
-
-        Writes go through :meth:`scoped`; mutating the view raises.
-        """
-        return MappingProxyType(self._extra)
-
-    def scoped(self, namespace: str) -> ScopedStats:
-        """A write adapter whose keys all live under ``namespace.``."""
-        return ScopedStats(self, namespace)
-
-    def _write(
-        self, namespace: str, key: str, value: Number, add: bool
-    ) -> None:
-        full = f"{namespace}.{key}"
-        owner = self._extra_owner.get(full)
-        if owner is None:
-            self._extra_owner[full] = namespace
-        elif owner != namespace:
-            raise MetricNamespaceError(
-                f"stat key {full!r} already owned by namespace {owner!r}; "
-                f"refusing write from namespace {namespace!r}"
-            )
-        if add:
-            self._extra[full] = self._extra.get(full, 0) + value
-        else:
-            self._extra[full] = value
-
-    def bump(self, key: str, amount: Number = 1) -> None:
-        """Deprecated: use ``scoped(namespace).incr(key)`` instead.
-
-        Writes land in the ``adhoc`` namespace so legacy callers cannot
-        collide with instrumented subsystems.
-        """
-        warnings.warn(
-            "SystemStats.bump() is deprecated; use "
-            "stats.scoped(namespace).incr(key)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._write("adhoc", key, amount, add=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SystemStats(offered={self.offered}, "
             f"completed={self.completed}, dropped={self.dropped}, "
             f"scheduling_ops={self.scheduling_ops}, "
-            f"scheduling_ns={self.scheduling_ns}, extra={self._extra})"
+            f"scheduling_ns={self.scheduling_ns})"
         )
 
 

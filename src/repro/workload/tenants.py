@@ -25,8 +25,8 @@ skew, and connection count.  This module models that mix declaratively:
   processes into one aggregate :class:`~repro.workload.arrivals.ArrivalProcess`
   (e.g. one bursty MMPP tenant riding on Poisson background tenants).
 * :func:`tenant_slo_summary` -- per-tenant SLO attainment and latency
-  percentiles over a finished request set, the accounting the
-  datacenter tier folds into ``stats.extra``.
+  percentiles over a finished request set: the post-hoc reference for
+  the ``tenant.<name>.*`` instruments a fabric keeps live.
 """
 
 from __future__ import annotations

@@ -338,8 +338,6 @@ class TestRackCluster:
         )
         assert result.system_name.startswith("rack[")
         assert result.throughput_rps > 0
-        assert "cluster.imbalance_index" in result.extra
-        assert result.extra["cluster.imbalance_index"] >= 1.0
         assert result.metrics["cluster.imbalance_index"] >= 1.0
 
     def test_every_offered_request_terminates(self):
@@ -359,8 +357,8 @@ class TestRackCluster:
         result = self._run_rack(config, rate_rps=16e6)
         rack = result.system
         assert rack.switch.dropped > 0
-        assert rack.stats.extra["cluster.switch_dropped"] == rack.switch.dropped
-        assert isinstance(rack.stats.extra["cluster.switch_dropped"], int)
+        assert result.metrics["cluster.switch.dropped"] == rack.switch.dropped
+        assert isinstance(result.metrics["cluster.switch.dropped"], int)
         assert rack.stats.completed + rack.stats.dropped == 2000
 
     def test_outstanding_probe_counts_in_flight_work(self):
@@ -382,10 +380,10 @@ class TestRackCluster:
             policy="shortest_wait",
         )
         result = self._run_rack(config, n_requests=500)
-        assert result.extra["cluster.steer_samples"] >= 1
+        assert result.metrics["cluster.steer_samples"] >= 1
         assert (
-            result.extra["cluster.steer_srv0"]
-            + result.extra["cluster.steer_srv1"]
+            result.metrics["cluster.steer_srv0"]
+            + result.metrics["cluster.steer_srv1"]
             == 500
         )
 

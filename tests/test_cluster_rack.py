@@ -48,10 +48,10 @@ class TestSteeringRegression:
         # measured gap is ~19x; require 2x so the gate has headroom.
         assert p2c.latency.p99 < hashed.latency.p99 / 2.0
         assert (
-            p2c.extra["cluster.imbalance_index"]
-            < hashed.extra["cluster.imbalance_index"]
+            p2c.metrics["cluster.imbalance_index"]
+            < hashed.metrics["cluster.imbalance_index"]
         )
-        assert hashed.extra["cluster.imbalance_index"] > 1.2
+        assert hashed.metrics["cluster.imbalance_index"] > 1.2
 
     def test_rack_run_is_deterministic_for_a_fixed_seed(self):
         first = _run_policy("power_of_d", d=2)

@@ -130,9 +130,6 @@ class TestFabricConservation:
         # Per-rack registries are attached as children: rack<i>.srv<j>.*
         assert result.metrics["rack0.cluster.switch.forwarded"] == 1000
         assert result.metrics["rack1.srv0.system.offered"] > 0
-        assert result.extra["datacenter.imbalance_index"] == pytest.approx(
-            result.metrics["datacenter.imbalance_index"]
-        )
 
 
 #: The skewed tenant mix the steering regression drives: the hot tenant
@@ -177,14 +174,14 @@ class TestInterRackSteeringRegression:
         p2c = _run_policy("power_of_d", d=2)
         assert p2c.latency.p99 < hashed.latency.p99 / 2.0
         assert (
-            p2c.extra["datacenter.imbalance_index"]
-            < hashed.extra["datacenter.imbalance_index"]
+            p2c.metrics["datacenter.imbalance_index"]
+            < hashed.metrics["datacenter.imbalance_index"]
         )
-        assert hashed.extra["datacenter.imbalance_index"] > 1.2
+        assert hashed.metrics["datacenter.imbalance_index"] > 1.2
         # The imbalance is what costs the hot tenant its SLO.
         assert (
-            p2c.extra["tenant.hot.attainment"]
-            > hashed.extra["tenant.hot.attainment"]
+            p2c.metrics["tenant.hot.attainment"]
+            > hashed.metrics["tenant.hot.attainment"]
         )
 
     def test_datacenter_run_is_deterministic_for_a_fixed_seed(self):
@@ -223,8 +220,9 @@ class TestTenantSloAccounting:
         assert summary["idle"]["attainment"] == 1.0
 
     def test_live_accounting_matches_post_hoc_summary(self):
-        """The datacenter's completion-path counters (the tenant.*
-        instruments) must agree with the post-hoc request-set summary."""
+        """The datacenter's completion-path counters, and the tenant.*
+        instruments in the run's registry snapshot, must agree with the
+        post-hoc request-set summary."""
         sim = Simulator()
         streams = RandomStreams(9)
         dc = build_fabric(sim, streams, FabricConfig.datacenter(
@@ -233,7 +231,7 @@ class TestTenantSloAccounting:
             policy="round_robin",
             tenants=_SKEWED_TENANTS,
         ))
-        run_workload(
+        result = run_workload(
             dc, sim, streams,
             arrivals=PoissonArrivals(4e6),
             service=Exponential(1000.0),
@@ -244,6 +242,9 @@ class TestTenantSloAccounting:
         for i, tenant in enumerate(dc.tenant_slo.mix.tenants):
             assert dc.tenant_slo.completed[i] == summary[tenant.name]["completed"]
             assert dc.tenant_slo.slo_met[i] == summary[tenant.name]["slo_met"]
+            for key in ("completed", "slo_met", "attainment"):
+                assert result.metrics[f"tenant.{tenant.name}.{key}"] == \
+                    summary[tenant.name][key], key
         assert sum(dc.tenant_slo.completed) == dc.stats.completed
 
     def test_pool_sampling_is_chunk_invariant(self):

@@ -61,7 +61,7 @@ class TestThreeLevelFabric:
         # tier3.*, each member registry under datacenter<i>.
         assert result.metrics["tier3.switch.forwarded"] == 2000
         assert result.metrics["datacenter1.rack0.srv1.system.offered"] > 0
-        assert result.extra["tier3.steer_datacenter0"] + result.extra[
+        assert result.metrics["tier3.steer_datacenter0"] + result.metrics[
             "tier3.steer_datacenter1"] == 2000
         assert 0 < result.utilization < 1
 
@@ -143,7 +143,7 @@ class TestFabricConfig:
 
 class TestTenantAccountingFilter:
     def test_connections_outside_the_tenant_pool_charge_no_tenant(self):
-        """Live accounting and the shutdown summary skip the same
+        """Live accounting and the post-hoc summary skip the same
         requests: a workload drawing connections beyond the tenant pool
         used to simulate fully, then crash in the summary."""
         tenants = (
@@ -161,7 +161,8 @@ class TestTenantAccountingFilter:
         summary = tenant_slo_summary(dc.finished_requests, tenant_slo.mix)
         for i, tenant in enumerate(tenants):
             assert tenant_slo.completed[i] == summary[tenant.name]["completed"]
-            assert result.extra[f"tenant.{tenant.name}.completed"] == \
-                tenant_slo.completed[i]
+            for key in ("completed", "slo_met", "attainment"):
+                assert result.metrics[f"tenant.{tenant.name}.{key}"] == \
+                    summary[tenant.name][key], key
         charged = sum(tenant_slo.completed)
         assert 0 < charged < dc.stats.completed

@@ -99,3 +99,35 @@ class TestZeroQueueingGate:
     def test_wider_gangs_wait_longer_at_fixed_load(self):
         waits = [_gang_mean_wait(demand, 0.7) for demand in (1, 2, 4)]
         assert waits[0] < waits[1] < waits[2]
+
+
+class TestFanoutTable:
+    def test_every_row_accounts_for_every_offered_job(self, monkeypatch):
+        """``completed + dropped`` is the offered job count on every row,
+        including the k=1 and c=1 rows that run the flat request path:
+        those must count every request, not just the measured ones."""
+        from repro.experiments import fig_fanout
+        from repro.experiments.common import scaled
+
+        monkeypatch.setattr(fig_fanout, "FANOUT_POLICIES", ("hash",))
+        monkeypatch.setattr(fig_fanout, "FANOUTS", (1, 2))
+        monkeypatch.setattr(fig_fanout, "GANG_DEMANDS", (1, 2))
+        monkeypatch.setattr(fig_fanout, "GANG_LOADS", (0.5,))
+        scale = 0.01
+        result = fig_fanout.run(scale=scale)
+        offered = [
+            spec.n_requests
+            for _, _, spec in fig_fanout._fanout_specs(
+                scaled(16_000, scale), 1
+            )
+        ] + [
+            spec.n_requests
+            for _, _, spec in fig_fanout._gang_specs(
+                scaled(12_000, scale), 1
+            )
+        ]
+        completed = result.headers.index("completed")
+        dropped = result.headers.index("dropped")
+        assert len(result.rows) == len(offered) == 4
+        for row, n_jobs in zip(result.rows, offered):
+            assert row[completed] + row[dropped] == n_jobs, row

@@ -203,12 +203,13 @@ FANOUT_SHAPE = JobShape(fanout=ChoiceDegree((1, 2, 4), (0.5, 0.3, 0.2)))
 
 
 def assert_jobs_conserved(result):
-    extra = result.extra
-    assert extra["job.completed"] + extra["job.dropped"] == extra["job.count"]
+    metrics = result.metrics
+    assert metrics["job.completed"] + metrics["job.dropped"] == \
+        metrics["job.count"]
     c = {key.rsplit(".", 1)[-1]: value
-         for key, value in result.metrics.items()
+         for key, value in metrics.items()
          if key.startswith("client.retry.")}
-    assert c["injected"] == extra["job.subrequests"]
+    assert c["injected"] == metrics["job.subrequests"]
     # Per-sub logical verdicts must telescope into the job verdicts:
     # every failed sub dooms its whole job, so failed subs can never
     # exceed the dropped jobs' total fan-out, and completed jobs need
@@ -225,7 +226,7 @@ def test_scatter_gather_conserves_subrequests_mid_crash(system):
         system, n_cores=N_CORES, rate_rps=RATE_RPS, mean_service_ns=1000.0,
         n_requests=N_REQUESTS, seed=SEED, faults=SCENARIO, jobs=FANOUT_SHAPE,
     )
-    assert_conserved(result.metrics, result.extra["job.subrequests"])
+    assert_conserved(result.metrics, result.metrics["job.subrequests"])
     assert_jobs_conserved(result)
 
 
@@ -238,7 +239,7 @@ def test_scatter_gather_faulted_runs_are_reproducible():
     ]
     for key in ("job.count", "job.completed", "job.dropped",
                 "job.subrequests"):
-        assert runs[0].extra[key] == runs[1].extra[key], key
+        assert runs[0].metrics[key] == runs[1].metrics[key], key
 
 
 @st.composite
@@ -259,5 +260,5 @@ def job_shapes(draw):
 def test_randomized_fanout_and_fault_plans_rack(plan, shape):
     result = quick_run("rack", n_cores=N_CORES, rate_rps=RATE_RPS,
                        n_requests=150, seed=SEED, faults=plan, jobs=shape)
-    assert_conserved(result.metrics, result.extra["job.subrequests"])
+    assert_conserved(result.metrics, result.metrics["job.subrequests"])
     assert_jobs_conserved(result)

@@ -505,11 +505,12 @@ class TestTrivialCompilation:
         assert fingerprint(flat) == fingerprint(trivial)
         assert trivial.jobs is None  # compiled down: no job machinery ran
 
-    def test_job_summary_lands_in_extra_namespace(self):
+    def test_job_summary_lands_in_job_instruments(self):
         result = quick_run("altocumulus", n_cores=8, rate_rps=2e6,
                            n_requests=200, seed=7,
                            jobs=JobShape(fanout=ChoiceDegree((1, 2))))
-        assert result.extra["job.count"] == 200
-        assert result.extra["job.subrequests"] == result.jobs.subrequests
-        assert result.extra["job.completed"] == result.jobs.completed
+        assert result.metrics["job.count"] == 200
+        assert result.metrics["job.subrequests"] == result.jobs.subrequests
+        assert result.metrics["job.completed"] == result.jobs.completed
+        assert result.metrics["job.p99_ns"] == result.jobs.latency.p99
         assert result.jobs.latency.p99 >= result.jobs.latency.p50

@@ -29,6 +29,7 @@ from repro.runner import (
 )
 from repro.schedulers.jbsq import ideal_cfcfs
 from repro.workload.connections import ConnectionPool
+from repro.workload.jobs import FixedDegree, JobShape
 from repro.workload.service import Bimodal, Fixed
 
 
@@ -38,6 +39,25 @@ def _builder(sim, streams, n_cores=4):
 
 def _answer(x=21):
     return x * 2
+
+
+def _job_summary(result):
+    """Metrics hook: the run's ``SimulationResult.jobs`` under the
+    ``job.*`` instrument names."""
+    jobs = result.jobs
+    return {
+        "job.count": jobs.count,
+        "job.completed": jobs.completed,
+        "job.dropped": jobs.dropped,
+        "job.subrequests": jobs.subrequests,
+        "job.measured": jobs.latency.count,
+        "job.mean_fanout": jobs.mean_fanout,
+        "job.mean_core_demand": jobs.mean_core_demand,
+        "job.mean_ns": jobs.latency.mean,
+        "job.p50_ns": jobs.latency.p50,
+        "job.p99_ns": jobs.latency.p99,
+        "job.max_ns": jobs.latency.maximum,
+    }
 
 
 def _point(rate=2e6, seed=1, n_requests=600, tag="t", **kwargs):
@@ -414,3 +434,36 @@ class TestProgress:
         assert progress.executed == 2
         # 2 executed in 2s -> 1s/point -> 5 remaining points ~ 5s.
         assert progress.eta_s == pytest.approx(5.0)
+
+
+def _job_instruments(point):
+    return {
+        name: value for name, value in point.instruments.items()
+        if name.startswith("job.")
+    }
+
+
+class TestJobInstruments:
+    """``job.*`` travels only in the registry snapshot, so it must
+    survive the result cache."""
+
+    def test_job_instruments_cross_the_cache(self, tmp_path):
+        spec = _point(n_requests=300, jobs=JobShape(fanout=FixedDegree(2)),
+                      metrics=ref(_job_summary))
+        cfg = RunnerConfig(jobs=1, use_cache=True, cache_dir=str(tmp_path))
+        (fresh,) = run_points([spec], config=cfg)
+        (cached,) = run_points([spec], config=cfg)
+        assert not fresh.cache_hit
+        assert cached.cache_hit
+        assert _job_instruments(cached) == _job_instruments(fresh)
+        assert _job_instruments(fresh) == fresh.metrics
+        assert fresh.instruments["job.count"] == 300
+
+    def test_flat_run_registers_no_job_instruments(self):
+        # k=1 compiles down to the flat request path; fig_fanout falls
+        # back to system.* counters on that contract.
+        point = execute_point(
+            _point(n_requests=300, jobs=JobShape(fanout=FixedDegree(1)))
+        )
+        assert point.instruments["system.completed"] == 300
+        assert _job_instruments(point) == {}

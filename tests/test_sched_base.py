@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.schedulers.base import RpcSystem, SystemStats
+from repro.schedulers.base import RpcSystem
 from repro.schedulers.rss import RssSystem
 from repro.workload.service import Fixed
 from repro.workload.arrivals import DeterministicArrivals
@@ -64,37 +64,6 @@ class TestLifecycle:
 
 
 class TestStats:
-    def test_bump_is_deprecated_and_lands_in_adhoc_namespace(self):
-        stats = SystemStats()
-        with pytest.warns(DeprecationWarning):
-            stats.bump("x")
-        with pytest.warns(DeprecationWarning):
-            stats.bump("x", 2.5)
-        assert stats.extra["adhoc.x"] == 3.5
-
-    def test_scoped_adapter_accumulates(self):
-        stats = SystemStats()
-        scoped = stats.scoped("sched")
-        scoped.incr("x")
-        scoped.incr("x", 2.5)
-        assert stats.extra["sched.x"] == 3.5
-        assert scoped.get("x") == 3.5
-
-    def test_scoped_incr_preserves_int_counters(self):
-        stats = SystemStats()
-        scoped = stats.scoped("sched")
-        scoped.incr("migrations")
-        scoped.incr("migrations", 11)
-        value = stats.extra["sched.migrations"]
-        assert value == 12
-        assert isinstance(value, int)
-
-    def test_extra_view_is_read_only(self):
-        stats = SystemStats()
-        stats.scoped("sched").put("x", 1)
-        with pytest.raises(TypeError):
-            stats.extra["y"] = 2  # type: ignore[index]
-
     def test_offered_and_completed_counters(self, sim, streams):
         system = RssSystem(sim, streams, 2)
         run_workload(

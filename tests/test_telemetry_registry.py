@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.schedulers.base import SystemStats
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -132,23 +131,6 @@ class TestHierarchy:
         doc = json.loads(reg.to_json())
         assert doc["sys.nan"] is None
         assert doc["sys.inf"] == "inf"
-
-
-class TestNamespaceCollision:
-    """Satellite regression: dotted writes can no longer silently collide."""
-
-    def test_cross_namespace_key_collision_raises(self):
-        stats = SystemStats()
-        stats.scoped("a").put("cluster.x", 1.0)
-        with pytest.raises(MetricNamespaceError):
-            stats.scoped("a.cluster").put("x", 2.0)
-
-    def test_same_namespace_rewrites_freely(self):
-        stats = SystemStats()
-        scope = stats.scoped("a")
-        scope.put("x", 1.0)
-        scope.put("x", 2.0)
-        assert stats.extra["a.x"] == 2.0
 
 
 class TestFilteredSnapshot:

@@ -17,9 +17,21 @@ here as an explicit diff -- regenerate the file deliberately::
 
 The fabric presets are pinned the same way: ``metrics_schema_<name>.json``
 holds ``build_system(<name>, Simulator(), RandomStreams(7), 32)``'s
-schema for ``rack`` and ``datacenter``, and ``fabric_extra_keys.json``
-holds the ``stats.extra`` key lists each fabric writes at shutdown after
-a golden-parameter run (plus a datacenter carrying two tenants).
+schema for ``rack`` and ``datacenter``, and
+``metrics_schema_datacenter_tenants.json`` holds that datacenter's
+schema when it carries the two ``PIN_TENANTS``::
+
+    PYTHONPATH=src:. python -c "
+    import json
+    from tests.test_telemetry_schema import _build_system
+    s = _build_system('datacenter+tenants')
+    print(json.dumps(s.metrics.schema(), indent=2))
+    " > tests/data/metrics_schema_datacenter_tenants.json
+
+A run reports every named metric through this registry, so the pins
+cover every fabric and tenant result metric.  The ``job.*`` instruments
+a job-structured run binds at its end are not in a built system's
+schema.
 """
 
 import dataclasses
@@ -28,17 +40,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import build_system, quick_run, run_workload
+from repro.api import _default_datacenter_config, build_system
+from repro.cluster import build_fabric
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workload.arrivals import PoissonArrivals
-from repro.workload.service import Exponential
-from repro.workload.tenants import TenantClass, TenantConnectionPool
-from tests.determinism_util import GOLDEN_PARAMS
+from repro.workload.tenants import TenantClass
 
 DATA = Path(__file__).parent / "data"
 PINNED = DATA / "metrics_schema.json"
-EXTRA_KEYS = DATA / "fabric_extra_keys.json"
 
 FABRICS = ("rack", "datacenter")
 
@@ -47,6 +56,15 @@ PIN_TENANTS = (
     TenantClass("a", 0.5, slo_ns=5_000.0, n_connections=64),
     TenantClass("b", 0.5, slo_ns=20_000.0, n_connections=64),
 )
+
+
+def _build_system(entry):
+    if entry == "datacenter+tenants":
+        config = dataclasses.replace(
+            _default_datacenter_config(32), tenants=PIN_TENANTS
+        )
+        return build_fabric(Simulator(), RandomStreams(7), config)
+    return build_system(entry, Simulator(), RandomStreams(7), 32)
 
 
 def test_altocumulus_schema_matches_pinned_snapshot():
@@ -61,10 +79,10 @@ def test_snapshot_covers_every_schema_entry():
         assert entry["name"] in snapshot
 
 
-@pytest.mark.parametrize("name", FABRICS)
+@pytest.mark.parametrize("name", FABRICS + ("datacenter+tenants",))
 def test_fabric_schema_matches_pinned_snapshot(name):
-    system = build_system(name, Simulator(), RandomStreams(7), 32)
-    pinned = DATA / f"metrics_schema_{name}.json"
+    system = _build_system(name)
+    pinned = DATA / f"metrics_schema_{name.replace('+', '_')}.json"
     assert system.metrics.schema() == json.loads(pinned.read_text())
 
 
@@ -74,35 +92,3 @@ def test_fabric_snapshot_covers_every_schema_entry(name):
     snapshot = system.metrics.snapshot()
     for entry in system.metrics.schema():
         assert entry["name"] in snapshot
-
-
-def _tenant_datacenter_extra_keys():
-    from repro.api import _default_datacenter_config
-    from repro.cluster import build_fabric
-
-    sim = Simulator()
-    streams = RandomStreams(GOLDEN_PARAMS["seed"])
-    config = dataclasses.replace(
-        _default_datacenter_config(GOLDEN_PARAMS["n_cores"]),
-        tenants=PIN_TENANTS,
-    )
-    system = build_fabric(sim, streams, config)
-    result = run_workload(
-        system, sim, streams,
-        arrivals=PoissonArrivals(GOLDEN_PARAMS["rate_rps"]),
-        service=Exponential(GOLDEN_PARAMS["mean_service_ns"]),
-        n_requests=GOLDEN_PARAMS["n_requests"],
-        connections=TenantConnectionPool(PIN_TENANTS),
-    )
-    return list(result.extra)
-
-
-def _extra_keys(entry):
-    if entry == "datacenter+tenants":
-        return _tenant_datacenter_extra_keys()
-    return list(quick_run(system=entry, **GOLDEN_PARAMS).extra)
-
-
-@pytest.mark.parametrize("entry", FABRICS + ("datacenter+tenants",))
-def test_fabric_extra_keys_match_pin(entry):
-    assert _extra_keys(entry) == json.loads(EXTRA_KEYS.read_text())[entry]
