@@ -13,9 +13,9 @@ load), each offering the *same number of sub-requests* so their
   entry measures that the job seam costs nothing when unused -- the
   run is asserted identical to the flat baseline;
 * the headline ``test_bench_fanout_jobs`` -- 4-wide scatter-gather
-  jobs through the full machinery (pre-drawn degrees, the job tracker's
+  jobs through the full machinery (pre-drawn degrees, the generator's
   terminal hooks, gather-on-last bookkeeping).  This entry is gated in
-  ``make bench-gate``: its ``stats.min`` must stay within 2% of the
+  ``make bench-gate`` and CI's A/B gate: its ``stats.min`` must stay within 2% of the
   committed baseline, which is what pins the job path's overhead
   budget against refactors.
 """

@@ -40,13 +40,7 @@ from repro.telemetry import MetricRegistry, record_run
 from repro.workload.arrivals import ArrivalProcess, PoissonArrivals
 from repro.workload.connections import ConnectionPool
 from repro.workload.generator import LoadGenerator
-from repro.workload.jobs import (
-    Job,
-    JobLoadGenerator,
-    JobShape,
-    JobTracker,
-    system_supports_gang,
-)
+from repro.workload.jobs import Job, JobShape, system_supports_gang
 from repro.kvs.ownership import KvsSpec
 from repro.kvs.wiring import wire_kvs
 from repro.workload.request import Request
@@ -281,7 +275,7 @@ def run_workload(
     admission -- the system must declare ``supports_gang``).  The
     trivial shape (fan-out 1, demand 1) and ``jobs=None`` compile down
     to the flat ``Request`` path bit-identically: no ``"jobs"`` stream
-    draw, no tracker, nothing.
+    draw, no job records, nothing.
 
     With a :class:`~repro.faults.FaultPlan`, a
     :class:`~repro.faults.FaultInjector` drives the plan into the system
@@ -317,54 +311,30 @@ def run_workload(
         # Built after the injector so the loop senses the fault
         # instruments, before the generator so epoch 0 starts at t=0.
         loop = ControlLoop(sim, streams, control, system)
-    sink = client.send if client is not None else system.offer
-    tracker: Optional[JobTracker] = None
-    if jobs is not None and not jobs.is_trivial:
-        if jobs.core_demand.max_value > 1 and not system_supports_gang(system):
-            raise ValueError(
-                f"system {system.name!r} does not support multi-core gang "
-                "jobs (core_demand > 1); use a gang-capable scheduler "
-                "(altocumulus, jbsq variants) at every leaf"
-            )
-        tracker = JobTracker(sim, trace=getattr(system, "trace", None))
-        generator = JobLoadGenerator(
-            sim,
-            streams,
-            arrivals,
-            service,
-            sink=sink,
-            n_jobs=n_requests,
-            shape=jobs,
-            tracker=tracker,
-            size_bytes=size_bytes,
-            connections=connections,
-            request_factory=request_factory,
-            warmup_fraction=warmup_fraction,
+    gang = jobs is not None and jobs.core_demand.max_value > 1
+    if gang and not system_supports_gang(system):
+        raise ValueError(
+            f"system {system.name!r} does not support multi-core gang "
+            "jobs (core_demand > 1); use a gang-capable scheduler "
+            "(altocumulus, jbsq variants) at every leaf"
         )
-        expected = generator.total_subrequests
-        if client is not None:
-            tracker.attach_client(client)
-            client.expect(expected)
-        else:
-            tracker.attach_system(system)
-            system.expect(expected)
-    else:
-        generator = LoadGenerator(
-            sim,
-            streams,
-            arrivals,
-            service,
-            sink=sink,
-            n_requests=n_requests,
-            size_bytes=size_bytes,
-            connections=connections,
-            request_factory=request_factory,
-            warmup_fraction=warmup_fraction,
-        )
-        if client is not None:
-            client.expect(n_requests)
-        else:
-            system.expect(n_requests)
+    generator = LoadGenerator(
+        sim,
+        streams,
+        arrivals,
+        service,
+        sink=client.send if client is not None else system.offer,
+        n_requests=n_requests,
+        size_bytes=size_bytes,
+        connections=connections,
+        request_factory=request_factory,
+        warmup_fraction=warmup_fraction,
+        shape=jobs,
+    )
+    generator.attach(system, client)
+    (client if client is not None else system).expect(
+        generator.total_subrequests
+    )
     generator.start()
     sim.run(until=_MAX_HORIZON_NS)
     if injector is not None:
@@ -376,17 +346,18 @@ def run_workload(
     system.shutdown()
     measured = generator.measured_requests()
     job_summary: Optional[JobRunSummary] = None
-    if tracker is not None:
-        n_jobs = len(generator.jobs)
+    if generator.jobs is not None:
+        records = tuple(generator.jobs)
+        n_jobs = len(records)
         job_summary = JobRunSummary(
             count=n_jobs,
-            completed=tracker.completed_jobs,
-            dropped=tracker.dropped_jobs,
+            completed=sum(1 for j in records if j.completed),
+            dropped=sum(1 for j in records if j.dropped),
             subrequests=generator.total_subrequests,
             mean_fanout=generator.total_subrequests / n_jobs,
-            mean_core_demand=sum(generator._demands) / n_jobs,
+            mean_core_demand=sum(generator.demands) / n_jobs,
             latency=summarize_latencies(generator.measured_jobs()),
-            records=tuple(generator.jobs),
+            records=records,
         )
         _register_job_instruments(system.metrics, job_summary)
     registry = getattr(system, "metrics", None)

@@ -266,7 +266,7 @@ class Fabric:
         #: Fabric-level terminal hooks, mirroring RpcSystem's: fired after
         #: the fabric's own accounting for every member completion, member
         #: drop, and switch tail-drop.  Tenant accounting, the retry
-        #: client and the job tracker attach here.
+        #: client and a job-shaped load generator attach here.
         self.completion_hooks: List[object] = []
         self.drop_hooks: List[object] = []
         #: Live per-tenant SLO accounting, when tenants are configured.

@@ -132,9 +132,6 @@ class ThresholdModel:
             return float("inf")
         return self.a * (self.c * nq + self.d) + self.b
 
-    def with_name(self, name: str) -> "ThresholdModel":
-        return ThresholdModel(self.a, self.b, self.c, self.d, name)
-
 
 @lru_cache(maxsize=_ERLANG_CACHE_SIZE)
 def harmonic_number(k: int) -> float:

@@ -123,9 +123,9 @@ class RetryClient:
         self._expected: Optional[int] = None
         self._terminal_logical = 0
         #: Called as ``hook(original_request, succeeded)`` at each
-        #: logical verdict -- the per-sub-request terminal the job
-        #: tracker observes under faults (empty outside job workloads,
-        #: so plain fault runs are untouched).
+        #: logical verdict -- the per-sub-request terminal a job-shaped
+        #: load generator observes under faults (empty outside job
+        #: workloads, so plain fault runs are untouched).
         self.logical_hooks: list = []
         system.completion_hooks.append(self._on_attempt_completed)
         system.drop_hooks.append(self._on_attempt_dropped)
@@ -196,6 +196,10 @@ class RetryClient:
             kind=original.kind,
             key=original.key,
             value=original.value,
+            job_id=original.job_id,
+            fanout=original.fanout,
+            sibling_index=original.sibling_index,
+            core_demand=original.core_demand,
         )
         self._next_attempt_id += 1
         clone.logical_id = original.req_id

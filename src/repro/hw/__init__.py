@@ -1,6 +1,6 @@
 """Hardware models: NIC, NoC, PCIe, core tiles, and the Altocumulus
-manager-tile microarchitecture (migration registers, parameter registers,
-FIFOs, migrator and controller).
+manager-tile microarchitecture (migration registers, FIFOs, migrator
+and controller).
 
 Latency constants follow Sec. VII-B of the paper exactly: ~30 ns NIC MAC +
 serial I/O + transport, 3 ns per NoC hop, 150 ns QPI, 200-800 ns PCIe
@@ -13,7 +13,7 @@ from repro.hw.noc import Noc, NocMessage
 from repro.hw.pcie import PcieLink
 from repro.hw.nic import DeliveryModel, HwTerminatedDelivery, PcieDelivery, RssSteering
 from repro.hw.cores import Core
-from repro.hw.registers import HardwareFifo, MigrationRegisterFile, ParameterRegisters
+from repro.hw.registers import HardwareFifo, MigrationRegisterFile
 from repro.hw.coherence import CoherenceModel
 from repro.hw.memory import MemoryBandwidthModel
 from repro.hw.messaging import ManagerTileHw, MessageType
@@ -32,7 +32,6 @@ __all__ = [
     "Core",
     "HardwareFifo",
     "MigrationRegisterFile",
-    "ParameterRegisters",
     "CoherenceModel",
     "MemoryBandwidthModel",
     "ManagerTileHw",

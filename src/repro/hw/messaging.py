@@ -35,7 +35,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.sim.engine import Simulator
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
 from repro.hw.noc import Noc, NocMessage
-from repro.hw.registers import HardwareFifo, MigrationRegisterFile, ParameterRegisters
+from repro.hw.registers import HardwareFifo, MigrationRegisterFile
 from repro.telemetry import MetricRegistry
 from repro.workload.request import Request
 
@@ -139,7 +139,6 @@ class ManagerTileHw:
         self.mrs = MigrationRegisterFile(
             capacity=mr_capacity, entry_bytes=constants.mr_entry_bytes
         )
-        self.prs = ParameterRegisters()
         self.send_fifo = HardwareFifo(constants.send_fifo_entries)
         self.recv_fifo = HardwareFifo(constants.recv_fifo_entries)
         self.on_migrate_in = on_migrate_in
@@ -213,10 +212,6 @@ class ManagerTileHw:
     # ------------------------------------------------------------------
     # Software-visible operations
     # ------------------------------------------------------------------
-    def configure(self, **params: object) -> None:
-        """PREDICT_CONFIG: core-local PR write (no NoC traffic)."""
-        self.prs.configure(**params)
-
     def send_migrate(self, dst_manager: int, requests: List[Request]) -> bool:
         """MIGRATE ``requests`` (already removed from the local MR tail)
         to another manager.  Returns False and leaves the caller to

@@ -8,8 +8,13 @@ Each Altocumulus manager tile adds:
   so one 154 B file (11 entries) suffices -- but the capacity is a
   parameter so sizing studies can sweep it.
 * **Parameter registers (PRs)** -- Period, Bulk, Concurrency and
-  threshold T, written by PREDICT_CONFIG.  The queue-length vector q is
-  written by peers' UPDATEs and lives with the messaging hardware
+  threshold T, written by PREDICT_CONFIG.  No register block models
+  them: the runtime reads Period, Bulk and Concurrency from its
+  :class:`~repro.core.config.AltocumulusConfig` and computes T itself,
+  and PREDICT_CONFIG's cost is charged per tick by
+  :meth:`repro.core.interface.HwInterface.tick_cost_ns`.  The
+  queue-length vector q is written by peers' UPDATEs and lives with the
+  messaging hardware
   (:meth:`repro.hw.messaging.ManagerTileHw.read_updates`).
 * **Send/receive FIFOs** -- 16-entry staging buffers between the
   migrator and the NoC; a full receive FIFO NACKs incoming migrations.
@@ -18,7 +23,6 @@ Each Altocumulus manager tile adds:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.workload.request import Request
@@ -187,27 +191,3 @@ class MigrationRegisterFile:
     @property
     def bytes_used(self) -> int:
         return len(self._entries) * self.entry_bytes
-
-
-@dataclass
-class ParameterRegisters:
-    """The PR block: runtime-tunable migration parameters (Table II's
-    PREDICT_CONFIG writes land here)."""
-
-    period_ns: float = 200.0
-    bulk: int = 16
-    concurrency: int = 1
-    threshold: float = float("inf")
-
-    def configure(self, **kwargs: object) -> None:
-        """Apply a PREDICT_CONFIG register write."""
-        for key, value in kwargs.items():
-            if not hasattr(self, key):
-                raise KeyError(f"unknown parameter register {key!r}")
-            setattr(self, key, value)
-        if self.period_ns <= 0:
-            raise ValueError("period_ns must be positive")
-        if self.bulk <= 0:
-            raise ValueError("bulk must be positive")
-        if self.concurrency <= 0:
-            raise ValueError("concurrency must be positive")

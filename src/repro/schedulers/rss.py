@@ -70,11 +70,6 @@ class RssSystem(RpcSystem):
         if queue:
             self._start(core, queue.popleft())
 
-    # ------------------------------------------------------------------
-    def queue_lengths(self) -> List[int]:
-        """Occupancy snapshot (waiting only) of every receive queue."""
-        return [len(q) for q in self.queues]
-
 
 class IxSystem(RssSystem):
     """IX: kernel-bypass dataplane on RSS d-FCFS with adaptive batching.

@@ -46,9 +46,7 @@ from repro.workload.jobs import (
     DegreeDistribution,
     FixedDegree,
     Job,
-    JobLoadGenerator,
     JobShape,
-    JobTracker,
     UniformDegree,
     make_gang_shadow,
     system_supports_gang,
@@ -84,8 +82,6 @@ __all__ = [
     "UniformDegree",
     "JobShape",
     "Job",
-    "JobTracker",
-    "JobLoadGenerator",
     "make_gang_shadow",
     "system_supports_gang",
     "ClosedLoopGenerator",

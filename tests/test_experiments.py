@@ -1,6 +1,8 @@
 """Smoke tests for the experiment harness: every figure/table runs at a
 tiny scale and produces sane structured output."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.common import (
@@ -20,6 +22,8 @@ from repro.experiments.registry import (
 #: Tiny-scale smoke runs; heavier experiments are exercised by the
 #: benchmark suite with real budgets.
 FAST_EXPERIMENTS = ["tab1", "fig01"]
+
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 class TestRegistry:
@@ -112,6 +116,19 @@ class TestRuns:
         path = result.save(str(tmp_path))
         with open(path) as handle:
             assert "tab1" in handle.read()
+
+    @pytest.mark.parametrize("exp_id", ["tab1", "tab2_tab3"])
+    def test_simulation_free_tables_match_committed_results(
+        self, exp_id, tmp_path
+    ):
+        # These tables render from code without simulating, so the
+        # committed artifact must equal a fresh render byte for byte.
+        fresh = get_experiment(exp_id)().save(str(tmp_path))
+        committed = RESULTS_DIR / f"{exp_id}.txt"
+        assert open(fresh).read() == committed.read_text(), (
+            f"results/{exp_id}.txt is stale; regenerate it with "
+            f"`altocumulus-exp {exp_id} --out results`"
+        )
 
     def test_fig01_scheduling_share_grows_as_stacks_shrink(self):
         result = get_experiment("fig01")(scale=0.05)

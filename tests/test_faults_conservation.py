@@ -262,3 +262,41 @@ def test_randomized_fanout_and_fault_plans_rack(plan, shape):
                        n_requests=150, seed=SEED, faults=plan, jobs=shape)
     assert_conserved(result.metrics, result.metrics["job.subrequests"])
     assert_jobs_conserved(result)
+
+
+def test_retried_gang_siblings_keep_their_job_fields():
+    """A retry is the same sub-request again: it keeps its job, its
+    place in the scatter and its gang width (a gang retried on one core
+    would under-occupy the machine, and job-aware steering would place
+    it by flow hash instead of by job)."""
+    from repro.api import build_system, run_workload
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RandomStreams
+    from repro.workload import Exponential, PoissonArrivals
+    from repro.workload.jobs import FixedDegree, JobShape
+
+    streams = RandomStreams(SEED)
+    sim = Simulator()
+    system = build_system("altocumulus", sim, streams, 16)
+    served = []
+    system.completion_hooks.append(served.append)
+    plan = FaultPlan(
+        events=(FaultEvent(time_ns=20_000.0, kind="nic_drop", target=0,
+                           magnitude=0.3, duration_ns=40_000.0),),
+        retry=RETRY,
+    )
+    result = run_workload(
+        system, sim, streams, PoissonArrivals(2e6), Exponential(1000.0),
+        n_requests=N_REQUESTS, faults=plan,
+        jobs=JobShape(fanout=FixedDegree(2), core_demand=FixedDegree(2)),
+    )
+    assert_conserved(result.metrics, 2 * N_REQUESTS)
+    retries = [r for r in served if r.attempt > 0]
+    assert retries, "the drop burst must force some completed retries"
+    # Generator req_ids number siblings consecutively, two per job.
+    for attempt in retries:
+        assert attempt.core_demand == 2
+        assert attempt.fanout == 2
+        assert attempt.job_id is not None
+        assert attempt.job_id == attempt.logical_id // 2
+        assert attempt.sibling_index == attempt.logical_id % 2

@@ -245,16 +245,6 @@ class TestUpdatesReceivedAtRunEnd:
         assert tiles[1].stats.updates_received == 2
 
 
-class TestConfig:
-    def test_predict_config_writes_prs_without_noc_traffic(self, sim):
-        tiles = make_tiles(sim)
-        before = tiles[0].noc.stats.messages
-        tiles[0].configure(period_ns=100.0, bulk=40)
-        assert tiles[0].prs.period_ns == 100.0
-        assert tiles[0].prs.bulk == 40
-        assert tiles[0].noc.stats.messages == before
-
-
 class TestConservation:
     def test_no_request_lost_in_crossfire(self, sim):
         """Concurrent migrations in both directions preserve every

@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.registers import (
-    HardwareFifo,
-    MigrationRegisterFile,
-    ParameterRegisters,
-)
+from repro.hw.registers import HardwareFifo, MigrationRegisterFile
 from tests.conftest import make_request
 
 
@@ -121,30 +117,6 @@ class TestMigrationRegisterFile:
     def test_dequeue_empty_raises(self):
         with pytest.raises(IndexError):
             MigrationRegisterFile().dequeue_head()
-
-
-class TestParameterRegisters:
-    def test_defaults(self):
-        prs = ParameterRegisters()
-        assert prs.period_ns == 200.0
-        assert prs.bulk == 16
-
-    def test_configure_updates_fields(self):
-        prs = ParameterRegisters()
-        prs.configure(period_ns=100.0, bulk=32, concurrency=4, threshold=55.0)
-        assert (prs.period_ns, prs.bulk, prs.concurrency, prs.threshold) == (
-            100.0, 32, 4, 55.0,
-        )
-
-    def test_unknown_register_rejected(self):
-        with pytest.raises(KeyError):
-            ParameterRegisters().configure(warp_drive=1)
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            ParameterRegisters().configure(period_ns=0.0)
-        with pytest.raises(ValueError):
-            ParameterRegisters().configure(bulk=0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,5 @@
 """Unit and integration tests for job-structured requests: degree
-distributions, job shapes, the tracker, the job load generator, gang
+distributions, job shapes, job-shaped load generation and gathering, gang
 admission with shadows, sibling steering policies, and the
 fan-out-corrected latency estimator.
 
@@ -30,16 +30,20 @@ from repro.core.prediction import (
 from repro.schedulers.jbsq import ideal_cfcfs
 from repro.sim.rng import RandomStreams
 from repro.telemetry import TraceSink
-from repro.workload import PoissonArrivals, Exponential, Fixed
+from repro.workload import (
+    DeterministicArrivals,
+    Exponential,
+    Fixed,
+    PoissonArrivals,
+)
+from repro.workload.generator import LoadGenerator
 from repro.workload.jobs import (
     GANG_SHADOW_STRIDE,
     JOB_TRACE_ID_BASE,
     ChoiceDegree,
     FixedDegree,
     Job,
-    JobLoadGenerator,
     JobShape,
-    JobTracker,
     UniformDegree,
     make_gang_shadow,
     system_supports_gang,
@@ -121,56 +125,123 @@ class TestJobShape:
 
 
 # ----------------------------------------------------------------------
-# Job record + tracker
+# Job record + gathering sub-request terminals
 # ----------------------------------------------------------------------
+class _HookSurface:
+    """The terminal hooks :meth:`LoadGenerator.attach` observes: a
+    system's completion/drop hooks and a retry client's logical hooks."""
+
+    def __init__(self, trace=None):
+        self.trace = trace
+        self.completion_hooks = []
+        self.drop_hooks = []
+        self.logical_hooks = []
+
+    def complete(self, request):
+        for hook in self.completion_hooks:
+            hook(request)
+
+    def drop(self, request):
+        for hook in self.drop_hooks:
+            hook(request)
+
+
 class TestJobTracker:
-    def _job(self, k=2, job_id=0):
-        return Job(job_id=job_id, arrival=100.0, fanout=k, core_demand=1,
-                   connection=0, sub_ids=tuple(range(10, 10 + k)))
+    """A job-shaped :class:`LoadGenerator` finishes each job at its last
+    sibling's terminal."""
+
+    def _scattered(self, sim, k=2, n_jobs=1, trace=None):
+        # 100 ns deterministic gaps: job j arrives at 100 * (j + 1).
+        sank = []
+        gen = LoadGenerator(
+            sim, RandomStreams(1), DeterministicArrivals(1e7),
+            Exponential(1000.0), sink=sank.append, n_requests=n_jobs,
+            shape=JobShape(fanout=FixedDegree(k)),
+        )
+        system = _HookSurface(trace)
+        gen.attach(system)
+        gen.start()
+        sim.run()
+        return gen, system, sank
 
     def test_job_completes_on_last_sibling(self, sim):
-        tracker = JobTracker(sim)
-        job = self._job(k=3)
-        tracker.register(job)
+        gen, system, sank = self._scattered(sim, k=3)
+        job = gen.jobs[0]
+        assert job.arrival == 100.0
         sim.now = 500.0
-        tracker._sub_terminal(10, ok=True)
-        tracker._sub_terminal(11, ok=True)
+        system.complete(sank[0])
+        system.complete(sank[1])
         assert job.finished is None and not job.completed
         sim.now = 900.0
-        tracker._sub_terminal(12, ok=True)
+        system.complete(sank[2])
         assert job.completed and not job.dropped
         assert job.latency == pytest.approx(800.0)
-        assert tracker.completed_jobs == 1 and tracker.dropped_jobs == 0
+        assert [j.completed for j in gen.jobs] == [True]
+        assert [j.dropped for j in gen.jobs] == [False]
 
     def test_any_failed_sibling_drops_the_job(self, sim):
-        tracker = JobTracker(sim)
-        job = self._job(k=2)
-        tracker.register(job)
+        gen, system, sank = self._scattered(sim, k=2)
+        job = gen.jobs[0]
         sim.now = 300.0
-        tracker._sub_terminal(10, ok=False)
-        tracker._sub_terminal(11, ok=True)
+        system.drop(sank[0])
+        system.complete(sank[1])
         assert job.dropped and not job.completed
-        assert tracker.dropped_jobs == 1
+        assert [j.dropped for j in gen.jobs] == [True]
+
+    def test_client_verdicts_are_the_sub_terminals(self, sim):
+        # Under faults the retry client's logical verdict, not the
+        # system's per-attempt hooks, is each sibling's terminal.
+        sank = []
+        gen = LoadGenerator(
+            sim, RandomStreams(1), DeterministicArrivals(1e7),
+            Exponential(1000.0), sink=sank.append, n_requests=1,
+            shape=JobShape(fanout=FixedDegree(2)),
+        )
+        system, client = _HookSurface(), _HookSurface()
+        gen.attach(system, client)
+        assert system.completion_hooks == system.drop_hooks == []
+        gen.start()
+        sim.run()
+        (verdict,) = client.logical_hooks
+        verdict(sank[0], True)
+        verdict(sank[1], False)
+        assert gen.jobs[0].dropped
 
     def test_unknown_sub_ids_are_ignored(self, sim):
-        tracker = JobTracker(sim)
-        tracker._sub_terminal(999, ok=True)  # no job registered: no-op
-        assert tracker.jobs == []
+        gen, system, _ = self._scattered(sim, k=2)
+        system.complete(make_request(req_id=999))  # no job_id: no-op
+        assert gen.jobs[0].terminals == 0
+
+    def test_flat_generator_keeps_no_jobs_and_attaches_nothing(self, sim):
+        sank = []
+        gen = LoadGenerator(
+            sim, RandomStreams(1), DeterministicArrivals(1e7),
+            Exponential(1000.0), sink=sank.append, n_requests=5,
+            shape=JobShape(),
+        )
+        system = _HookSurface()
+        gen.attach(system)
+        gen.start()
+        sim.run()
+        assert gen.jobs is None and gen.total_subrequests == 5
+        assert system.completion_hooks == system.drop_hooks == []
+        assert all(r.job_id is None and r.fanout == 1 for r in sank)
 
     def test_latency_raises_before_finish(self, sim):
-        job = self._job()
+        job = Job(job_id=0, arrival=100.0, fanout=2, core_demand=1,
+                  connection=0)
         with pytest.raises(ValueError):
             job.latency
 
     def test_parent_job_spans_telescope_to_job_latency(self, sim):
         trace = TraceSink(sample_every=1)
-        tracker = JobTracker(sim, trace=trace)
-        job = self._job(k=2, job_id=5)
-        tracker.register(job)
-        sim.now = 400.0
-        tracker._sub_terminal(10, ok=True)
-        sim.now = 700.0
-        tracker._sub_terminal(11, ok=True)
+        gen, system, sank = self._scattered(sim, k=2, n_jobs=6, trace=trace)
+        job = gen.jobs[5]
+        siblings = [r for r in sank if r.job_id == 5]
+        sim.now = job.arrival + 300.0
+        system.complete(siblings[0])
+        sim.now = job.arrival + 600.0
+        system.complete(siblings[1])
         marks = trace.marks_by_request()[JOB_TRACE_ID_BASE + 5]
         phases = [phase for phase, _ in marks]
         assert phases == ["job_scatter", "sub_response", "sub_response",
@@ -182,37 +253,38 @@ class TestJobTracker:
 
 
 # ----------------------------------------------------------------------
-# Job load generator
+# Job-shaped load generation
 # ----------------------------------------------------------------------
 class TestJobLoadGenerator:
+    """:class:`LoadGenerator` under a non-trivial :class:`JobShape`."""
+
     def _generator(self, sim, seed=7, n_jobs=50, shape=None, sink=None,
                    warmup_fraction=0.0):
         streams = RandomStreams(seed)
         sank = [] if sink is None else sink
-        tracker = JobTracker(sim)
-        gen = JobLoadGenerator(
+        gen = LoadGenerator(
             sim, streams, PoissonArrivals(1e6), Exponential(1000.0),
             sink=sank.append if isinstance(sank, list) else sank,
-            n_jobs=n_jobs,
+            n_requests=n_jobs,
             shape=shape or JobShape(fanout=ChoiceDegree((1, 2, 4))),
-            tracker=tracker, warmup_fraction=warmup_fraction,
+            warmup_fraction=warmup_fraction,
         )
-        return gen, sank, tracker
+        return gen, sank
 
     def test_total_subrequests_known_at_construction(self, sim):
-        gen, _, _ = self._generator(sim)
-        assert gen.total_subrequests == sum(gen._fanouts)
-        assert len(gen._fanouts) == 50
+        gen, _ = self._generator(sim)
+        assert gen.total_subrequests == sum(gen.fanouts)
+        assert len(gen.fanouts) == 50
 
     def test_shapes_are_deterministic_per_seed(self, sim, sim2=None):
-        a, _, _ = self._generator(sim, seed=11)
-        b, _, _ = self._generator(sim, seed=11)
-        c, _, _ = self._generator(sim, seed=12)
-        assert a._fanouts == b._fanouts
-        assert a._fanouts != c._fanouts
+        a, _ = self._generator(sim, seed=11)
+        b, _ = self._generator(sim, seed=11)
+        c, _ = self._generator(sim, seed=12)
+        assert a.fanouts == b.fanouts
+        assert a.fanouts != c.fanouts
 
     def test_siblings_scatter_at_one_instant(self, sim):
-        gen, sank, _ = self._generator(sim)
+        gen, sank = self._generator(sim)
         gen.start()
         sim.run(until=1e12)
         assert len(sank) == gen.total_subrequests
@@ -224,7 +296,7 @@ class TestJobLoadGenerator:
 
     def test_shared_connections_pin_siblings_to_one_flow(self, sim):
         shape = JobShape(fanout=FixedDegree(4), sibling_connections="shared")
-        gen, sank, _ = self._generator(sim, shape=shape)
+        gen, sank = self._generator(sim, shape=shape)
         gen.start()
         sim.run(until=1e12)
         for job in gen.jobs:
@@ -233,7 +305,7 @@ class TestJobLoadGenerator:
 
     def test_distinct_connections_draw_per_sibling(self, sim):
         shape = JobShape(fanout=FixedDegree(4), sibling_connections="distinct")
-        gen, sank, _ = self._generator(sim, shape=shape)
+        gen, sank = self._generator(sim, shape=shape)
         gen.start()
         sim.run(until=1e12)
         # With a pool sized to total_subrequests, at least one job must
@@ -247,9 +319,7 @@ class TestJobLoadGenerator:
     def test_job_arrival_instants_match_flat_generator(self, sim):
         # One gap draw per job means job arrivals replay the flat
         # generator's request arrivals for the same seed and count.
-        from repro.workload.generator import LoadGenerator
-
-        gen, _, _ = self._generator(sim, seed=13, n_jobs=40)
+        gen, _ = self._generator(sim, seed=13, n_jobs=40)
         gen.start()
         sim.run(until=1e12)
         job_arrivals = [j.arrival for j in gen.jobs]
@@ -267,7 +337,7 @@ class TestJobLoadGenerator:
         assert job_arrivals == [r.arrival for r in flat_sink]
 
     def test_warmup_excludes_prefix_jobs(self, sim):
-        gen, _, tracker = self._generator(sim, n_jobs=40, warmup_fraction=0.25)
+        gen, _ = self._generator(sim, n_jobs=40, warmup_fraction=0.25)
         gen.start()
         sim.run(until=1e12)
         for job in gen.jobs:  # mark all complete
@@ -275,6 +345,12 @@ class TestJobLoadGenerator:
         assert gen.warmup_jobs == 10
         assert len(gen.measured_jobs()) == 30
         assert all(j.job_id >= 10 for j in gen.measured_jobs())
+        # Sub-requests are measured iff their job is.
+        for r in gen.requests:
+            r.finished = r.arrival + 1.0
+        measured = gen.measured_requests()
+        assert len(measured) == gen.total_subrequests - sum(gen.fanouts[:10])
+        assert all(r.job_id >= 10 for r in measured)
 
     def test_generator_validation(self, sim):
         with pytest.raises(ValueError):
