@@ -198,3 +198,30 @@ def test_power_of_d_steering_rate(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.latency.count > 0
+
+
+def test_altocumulus_idle_tick_rate(benchmark):
+    """Manager ticks with nothing to do: fig10's ``ac_rss`` (software
+    dispatch) at 0.25 MRPS runs about 41 ticks per request, nearly all
+    of them on the tick loop's idle path.  Every timed round must
+    reproduce an untimed run exactly.  Ungated."""
+    from repro.api import run_workload
+    from repro.experiments.fig10_comparison import SERVICE, _ac_rss_builder
+    from repro.sim.rng import RandomStreams
+    from repro.workload.arrivals import PoissonArrivals
+
+    def run():
+        sim = Simulator()
+        streams = RandomStreams(2)
+        system = _ac_rss_builder(sim, streams)
+        result = run_workload(system, sim, streams, PoissonArrivals(0.25e6),
+                              SERVICE, n_requests=1_000)
+        return (
+            [(r.req_id, r.finished, r.group_id) for r in result.requests],
+            [runtime.ticks for runtime in system.runtimes],
+            result.metrics["noc.messages"],
+        )
+
+    expected = run()
+    assert sum(expected[1]) > 40 * 1_000
+    assert benchmark.pedantic(run, rounds=3, iterations=1) == expected

@@ -55,23 +55,34 @@ class HwInterface:
             return HwInterface.msr(constants)
         raise ValueError(f"unknown interface kind {kind!r}; expected 'isa' or 'msr'")
 
+    def update_accesses(self, queue_reads: int) -> int:
+        """Register accesses of one ``altom_update``: the instruction
+        plus its reads of the ``queue_reads``-entry queue-length vector.
+
+        The custom ``altom_update`` moves the whole vector in one more
+        access, but the MSR fallback pays one ``rdmsr`` per entry -- a
+        major part of why the MSR interface stretches the runtime's
+        cadence (Fig. 14).
+        """
+        if queue_reads < 0:
+            raise ValueError(f"queue reads must be >= 0, got {queue_reads}")
+        if self.kind == "msr":
+            return 1 + queue_reads
+        return 2 if queue_reads > 0 else 1
+
     def tick_cost_ns(self, migrate_messages: int, queue_reads: int = 0) -> float:
         """Manager-core time consumed by one runtime tick.
 
         ``migrate_messages`` -- ``altom_send`` issues this tick.
         ``queue_reads`` -- reads of the synchronized queue-length vector
-        (one per manager group).  The custom ``altom_update`` moves the
-        whole vector in one instruction, but the MSR fallback pays one
-        ``rdmsr`` per entry -- a major part of why the MSR interface
-        stretches the runtime's cadence (Fig. 14).
+        (one per manager group) by the tick's ``altom_update``
+        (:meth:`update_accesses`).
         """
         if migrate_messages < 0:
             raise ValueError(f"migrate count must be >= 0, got {migrate_messages}")
-        if queue_reads < 0:
-            raise ValueError(f"queue reads must be >= 0, got {queue_reads}")
-        accesses = BASE_ACCESSES_PER_TICK + migrate_messages
-        if self.kind == "msr":
-            accesses += queue_reads
-        elif queue_reads > 0:
-            accesses += 1  # altom_update reads the vector in one shot
+        accesses = (
+            BASE_ACCESSES_PER_TICK - 1
+            + migrate_messages
+            + self.update_accesses(queue_reads)
+        )
         return PREDICTION_COMPUTE_NS + accesses * self.access_ns

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import Simulator
 from repro.hw.topology import MeshTopology
@@ -154,39 +154,71 @@ class Noc:
         hop_ns: float,
         flit_time: float,
     ) -> float:
-        """Inject one message now and return its arrival time.
+        """Inject one message now and return its arrival time: a
+        one-message :meth:`transmit_many`."""
+        return self.transmit_many(
+            src, ((dst, hop_ns, flit_time),), size_bytes, vnet
+        )[0]
+
+    def transmit_many(
+        self,
+        src: int,
+        wires: Sequence[Tuple[int, float, float]],
+        size_bytes: int,
+        vnet: int,
+    ) -> List[float]:
+        """Inject one ``size_bytes`` message from ``src`` per
+        ``(dst, hop_ns, flit_time)`` in ``wires``, in order, now; return
+        their arrival times in the same order.
 
         The NoC's one accounting path -- link and ejection-port
-        occupancy, the ``noc.*`` counters and the trace span -- for a
-        message whose :meth:`wire_times` are ``hop_ns``/``flit_time``.
-        Delivery is the caller's: :meth:`send` schedules an event at the
-        returned time, while an UPDATE is written into the receiver's
-        registers (:meth:`repro.hw.messaging.ManagerTileHw.broadcast_update`).
-        If endpoint serialization is enabled and the destination's
-        ejection port is still draining an earlier message, arrival is
+        occupancy, the ``noc.*`` counters and the trace spans -- for
+        messages whose :meth:`wire_times` are ``hop_ns``/``flit_time``.
+        Each message is accounted exactly as if injected alone, in list
+        order.  Delivery is the caller's: :meth:`send` schedules an
+        event at the returned time, while an UPDATE broadcast is written
+        into the receivers' registers
+        (:meth:`repro.hw.messaging.ManagerTileHw.broadcast_update`).  If
+        endpoint serialization is enabled and a destination's ejection
+        port is still draining an earlier message, that arrival is
         pushed back accordingly.
         """
+        count = len(wires)
+        if not count:
+            return []
         now = self.sim.now
-        if self.link_contention:
-            arrival = self._contended_arrival(src, dst, flit_time)
-        else:
-            arrival = now + hop_ns + flit_time
-        if self.endpoint_serialization:
-            ejection_free = self._ejection_free
-            free_at = ejection_free.get(dst, 0.0)
-            if free_at > arrival:
-                arrival = free_at
-            # The ejection port is busy for the message's flit time.
-            ejection_free[dst] = arrival + flit_time
-        self._m_messages.value += 1
-        self._m_bytes.value += size_bytes
-        self._m_latency.value += arrival - now
-        by_vnet = self._by_vnet
-        by_vnet[vnet] = by_vnet.get(vnet, 0) + 1
+        contended = self.link_contention
+        ejection_free = (
+            self._ejection_free if self.endpoint_serialization else None
+        )
         trace = self._trace
-        if trace.enabled:
-            trace.span("noc", dst, f"vnet{vnet}", now, arrival)
-        return arrival
+        tracing = trace.enabled
+        m_latency = self._m_latency
+        latency = m_latency.value
+        arrivals = []
+        for dst, hop_ns, flit_time in wires:
+            if contended:
+                arrival = self._contended_arrival(src, dst, flit_time)
+            else:
+                arrival = now + hop_ns + flit_time
+            if ejection_free is not None:
+                free_at = ejection_free.get(dst, 0.0)
+                if free_at > arrival:
+                    arrival = free_at
+                # The ejection port is busy for the message's flit time.
+                ejection_free[dst] = arrival + flit_time
+            # One addition per message, in order: the float total is
+            # bit-identical to accounting the messages one by one.
+            latency += arrival - now
+            if tracing:
+                trace.span("noc", dst, f"vnet{vnet}", now, arrival)
+            arrivals.append(arrival)
+        m_latency.value = latency
+        self._m_messages.value += count
+        self._m_bytes.value += count * size_bytes
+        by_vnet = self._by_vnet
+        by_vnet[vnet] = by_vnet.get(vnet, 0) + count
+        return arrivals
 
     def send(
         self,

@@ -184,17 +184,18 @@ class Simulator:
         heappush(self._heap, (time, seq, event))
         return event
 
-    def reserve_seq(self) -> int:
-        """Consume and return the next sequence number without scheduling.
+    def reserve_seq(self, count: int = 1) -> int:
+        """Consume the next ``count`` sequence numbers without scheduling
+        and return the first of them.
 
         For work that happens at a known ``(time, seq)`` key but is
         applied later by its reader instead of by a heap event (see
         :meth:`repro.hw.messaging.ManagerTileHw.broadcast_update`): the
-        reserved number keeps every later event's seq, and so every
-        equal-time FIFO tie-break, exactly as if the event existed.
+        reserved numbers keep every later event's seq, and so every
+        equal-time FIFO tie-break, exactly as if the events existed.
         """
         seq = self._seq
-        self._seq = seq + 1
+        self._seq = seq + count
         return seq
 
     def schedule_timer(

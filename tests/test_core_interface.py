@@ -67,3 +67,31 @@ class TestTickCost:
     def test_of_factory(self):
         assert HwInterface.of("isa").kind == "isa"
         assert HwInterface.of("msr").kind == "msr"
+
+
+class TestUpdateAccesses:
+    def test_update_row_is_instruction_plus_vector(self):
+        """Table III's altom_update row: one access plus the 16-entry
+        queue vector -- one more access for the ISA, 16 rdmsr for MSR."""
+        assert HwInterface.isa().update_accesses(16) == 2
+        assert HwInterface.msr().update_accesses(16) == 17
+        assert HwInterface.isa().update_accesses(0) == 1
+        assert HwInterface.msr().update_accesses(0) == 1
+
+    @pytest.mark.parametrize("kind", ["isa", "msr"])
+    @pytest.mark.parametrize("reads", [0, 1, 4, 16])
+    def test_tick_charges_the_update_row(self, kind, reads):
+        iface = HwInterface.of(kind)
+        others = BASE_ACCESSES_PER_TICK - 1  # altom_status + predict_config
+        assert iface.tick_cost_ns(2, queue_reads=reads) == (
+            PREDICTION_COMPUTE_NS
+            + (others + 2 + iface.update_accesses(reads)) * iface.access_ns
+        )
+
+    def test_table_iii_renders_the_charged_update_cost(self):
+        from repro.experiments import tab2_tab3
+
+        row = next(r for r in tab2_tab3.run().rows
+                   if r[1].startswith("altom_update"))
+        assert row[3] == "3.0 ns"
+        assert row[4] == "850 ns (MSR lowering)"

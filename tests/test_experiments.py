@@ -117,18 +117,27 @@ class TestRuns:
         with open(path) as handle:
             assert "tab1" in handle.read()
 
-    @pytest.mark.parametrize("exp_id", ["tab1", "tab2_tab3"])
-    def test_simulation_free_tables_match_committed_results(
-        self, exp_id, tmp_path
-    ):
-        # These tables render from code without simulating, so the
-        # committed artifact must equal a fresh render byte for byte.
+    @staticmethod
+    def _assert_matches_committed(exp_id, tmp_path):
         fresh = get_experiment(exp_id)().save(str(tmp_path))
         committed = RESULTS_DIR / f"{exp_id}.txt"
         assert open(fresh).read() == committed.read_text(), (
             f"results/{exp_id}.txt is stale; regenerate it with "
             f"`altocumulus-exp {exp_id} --out results`"
         )
+
+    @pytest.mark.parametrize("exp_id", ["tab1", "tab2_tab3"])
+    def test_simulation_free_tables_match_committed_results(
+        self, exp_id, tmp_path
+    ):
+        # These tables render from code without simulating, so the
+        # committed artifact must equal a fresh render byte for byte.
+        self._assert_matches_committed(exp_id, tmp_path)
+
+    def test_fig01_matches_committed_results(self, tmp_path):
+        # fig01 simulates, but its default render takes seconds, so the
+        # committed table is pinned to a fresh one too.
+        self._assert_matches_committed("fig01", tmp_path)
 
     def test_fig01_scheduling_share_grows_as_stacks_shrink(self):
         result = get_experiment("fig01")(scale=0.05)

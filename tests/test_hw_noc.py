@@ -107,6 +107,39 @@ class TestTransmit:
         assert second == first + flit_time
 
 
+    @pytest.mark.parametrize("link_contention", [False, True])
+    def test_transmit_many_accounts_like_one_by_one(self, link_contention):
+        """A batch equals the same messages transmitted one at a time,
+        in order: arrivals, port occupancy and every counter, including
+        the float latency total."""
+        from repro.sim.engine import Simulator
+
+        dsts = [1, 5, 1, 15, 5]
+        results = []
+        for batched in (False, True):
+            sim = Simulator()
+            noc = make_noc(sim, link_contention=link_contention)
+            wires = [(d,) + noc.wire_times(0, d, 40) for d in dsts]
+            if batched:
+                arrivals = noc.transmit_many(0, wires, 40, 1)
+            else:
+                arrivals = [noc.transmit(0, d, 40, 1, hop_ns, flit_time)
+                            for d, hop_ns, flit_time in wires]
+            stats = noc.stats
+            results.append((arrivals, dict(noc._ejection_free),
+                            dict(noc._link_free), stats.messages,
+                            stats.bytes, stats.total_latency_ns,
+                            dict(stats.by_vnet)))
+        assert results[0] == results[1]
+        assert results[1][3:5] == (5, 200)
+
+    def test_empty_batch_accounts_nothing(self, sim):
+        noc = make_noc(sim)
+        assert noc.transmit_many(0, [], 8, 1) == []
+        assert noc.stats.by_vnet == {}
+        assert noc.stats.messages == 0
+
+
 class TestLinkContention:
     def test_shared_link_serializes(self, sim):
         """Two messages crossing the same link arrive staggered when

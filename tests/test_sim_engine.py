@@ -62,6 +62,14 @@ class TestScheduling:
         assert order == ["now"]
 
 
+    def test_reserve_seq_consumes_a_block(self, sim):
+        """Reserved numbers are skipped by later events, one per count."""
+        assert sim.reserve_seq() == 0
+        assert sim.reserve_seq(3) == 1
+        event = sim.schedule(1.0, lambda: None)
+        assert event.seq == 4
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         hits = []
