@@ -3,8 +3,9 @@
 Each benchmark regenerates one of the paper's figures/tables through the
 experiment registry, times it with pytest-benchmark (single round: these
 are minutes-scale simulations, not microbenchmarks), saves the rendered
-table under ``results/`` and asserts the figure's headline qualitative
-property.
+table into the test's temporary directory and asserts the figure's
+headline qualitative property.  The reduced-scale renders never touch
+the committed tables under ``results/``.
 
 Scale factors are tuned so the full suite finishes in minutes; run the
 ``altocumulus-exp`` CLI at scale 1.0 for the fully-sized reproduction.
@@ -26,8 +27,6 @@ import pytest
 from repro.experiments.registry import get_experiment
 from repro.runner import overrides
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-
 _TRUTHY = {"1", "true", "yes", "on"}
 
 
@@ -42,8 +41,9 @@ def _runner_knobs():
 
 
 @pytest.fixture
-def run_experiment(benchmark):
-    """Run one experiment under the benchmark timer and persist it."""
+def run_experiment(benchmark, tmp_path):
+    """Run one experiment under the benchmark timer and save its render
+    under ``tmp_path``."""
 
     def runner(exp_id, scale, seed=1):
         with overrides(**_runner_knobs()):
@@ -52,7 +52,7 @@ def run_experiment(benchmark):
                 rounds=1,
                 iterations=1,
             )
-        result.save(RESULTS_DIR)
+        result.save(str(tmp_path))
         return result
 
     return runner

@@ -203,8 +203,8 @@ def test_power_of_d_steering_rate(benchmark):
 def test_altocumulus_idle_tick_rate(benchmark):
     """Manager ticks with nothing to do: fig10's ``ac_rss`` (software
     dispatch) at 0.25 MRPS runs about 41 ticks per request, nearly all
-    of them on the tick loop's idle path.  Every timed round must
-    reproduce an untimed run exactly.  Ungated."""
+    of them parked.  Every timed round must reproduce an untimed run
+    exactly.  Gated (``BENCH_GATED`` in the Makefile)."""
     from repro.api import run_workload
     from repro.experiments.fig10_comparison import SERVICE, _ac_rss_builder
     from repro.sim.rng import RandomStreams

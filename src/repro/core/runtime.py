@@ -145,8 +145,12 @@ class ManagerRuntime:
         #: refreshed from the UPDATE registers before each tick
         #: (:meth:`repro.hw.messaging.ManagerTileHw.read_updates`).
         self.q_view: List[int] = [0] * n_groups
-        #: Ticks run, :meth:`tick` and :meth:`idle_tick` alike.
+        #: Ticks run: :meth:`tick`, and parked ticks, which the system's
+        #: tick loop counts here.
         self.ticks = 0
+        #: True while parked ticks have not been settled into this
+        #: runtime's state (:meth:`settle_parked`).
+        self.parked = False
         self.migrations_triggered = 0
         self.descriptors_migrated = 0
         #: Live worker count for this group.  Starts at the config's
@@ -165,8 +169,8 @@ class ManagerRuntime:
         #: always bit-identical to recomputation).
         self._cached_load: Optional[float] = None
         self._cached_threshold: float = float("inf")
-        #: Model load of the last :meth:`idle_tick` not yet folded into
-        #: the cache (see :meth:`current_threshold`).
+        #: Model load of the last parked tick not yet folded into the
+        #: cache (see :meth:`current_threshold`).
         self._idle_load: Optional[float] = None
         #: The sorted isolation domain and this group's position in it
         #: never change; computing them per tick was pure overhead.
@@ -196,6 +200,8 @@ class ManagerRuntime:
     def invalidate_threshold_cache(self) -> None:
         """Force a fresh model evaluation at the next threshold read
         (control-plane predictor recalibration)."""
+        if self.parked:
+            self.settle_parked()
         self._cached_load = None
         self._cached_threshold = float("inf")
         self._idle_load = None
@@ -234,7 +240,7 @@ class ManagerRuntime:
         epsilon = cfg.threshold_epsilon
         idle_load = self._idle_load
         if idle_load is not None:
-            # Idle ticks ran at epsilon 0, where a read caches the load
+            # Parked ticks ran at epsilon 0, where a read caches the load
             # it sees.  Caching the last one now leaves the cache as
             # those reads would have; at epsilon 0 this read overwrites
             # it anyway.
@@ -255,6 +261,8 @@ class ManagerRuntime:
     # ------------------------------------------------------------------
     def tick(self) -> int:
         """Run one period's decision; returns MIGRATE messages sent."""
+        if self.parked:
+            self.settle_parked()
         self.ticks += 1
         cfg = self.config
         local_len = self.hooks.local_queue_len()
@@ -306,19 +314,27 @@ class ManagerRuntime:
         )
         return sent
 
-    def idle_tick(self) -> None:
-        """The state change of a :meth:`tick` that finds the local queue
-        empty, with the threshold cache exact (``threshold_epsilon`` 0
-        or no ``model`` threshold).
+    def settle_parked(self) -> None:
+        """Apply the state change of the parked ticks since the last
+        settle.
 
-        Such a tick broadcasts 0 and sends nothing: no request is over
-        any threshold, and line 8 rejects every destination.  The
-        caller does its UPDATE and its charge
-        (:meth:`repro.core.scheduler.AltocumulusSystem._tick_loop`).
-        Its threshold read would only cache the current model load,
-        which is kept here and cached by the next read that needs it.
+        A parked tick is a :meth:`tick` that finds the local queue
+        empty while the threshold cache is exact (``threshold_epsilon``
+        0 or no ``model`` threshold): it broadcasts 0 and sends
+        nothing, since no request is over any threshold and line 8
+        rejects every destination.  The system runs none of it at the
+        tick (:meth:`repro.core.scheduler.AltocumulusSystem._start_ticks`
+        counts it and writes its UPDATE and charge later); what it
+        leaves here is the local slot at 0 and, under a ``model``
+        threshold, the load its threshold read would have cached, which
+        the next read that needs it caches.  That load is the last
+        parked tick's as long as the estimator and the cache have not
+        changed since: the system settles before an estimator update,
+        and :meth:`invalidate_threshold_cache` (through it
+        :meth:`set_workers`, whose flush drops that load) and
+        :meth:`tick` settle first.
         """
-        self.ticks += 1
+        self.parked = False
         self.q_view[self.group_index] = 0
         if self.config.threshold_mode == "model":
             load = self._model_load()

@@ -30,7 +30,7 @@ import enum
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.sim.engine import Simulator
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
@@ -271,9 +271,10 @@ class ManagerTileHw:
         exactly the writes that event would have made before it.  Per
         source, arrivals strictly increase (later sends start later and
         the ejection port only moves forward), so each inbox stays
-        sorted.  Every tick sends one, an idle tick's 0 included: a
-        peer's optimistic view of this queue after a MIGRATE here is
-        corrected only by the next UPDATE it reads.
+        sorted.  Every tick sends one, a parked tick's 0 included (its
+        copies are written later, by :class:`ParkedUpdates`): a peer's
+        optimistic view of this queue after a MIGRATE here is corrected
+        only by the next UPDATE it reads.
         """
         arrivals = self.noc.transmit_many(
             self.tile_id, self._update_wires, UPDATE_BYTES, ALTOCUMULUS_VNET
@@ -287,8 +288,13 @@ class ManagerTileHw:
     def read_updates(self, q_view: List[int], time: float, seq: int) -> None:
         """Copy into ``q_view`` every UPDATE that arrived before the
         event keyed ``(time, seq)``: the runtime's register read, made
-        at the start of every tick event, idle or not
-        (:meth:`repro.core.scheduler.AltocumulusSystem._tick_loop`)."""
+        at the start of every tick that runs Algorithm 1
+        (:meth:`repro.core.scheduler.AltocumulusSystem._tick_loop`).
+
+        A parked tick reads nothing: reads only ever overwrite view
+        slots with newer writes, so the next read applies what it would
+        have applied, and nothing else writes those slots in between.
+        """
         key = (time, seq)
         read = 0
         for src, inbox in self._inboxes.items():
@@ -437,6 +443,7 @@ class ManagerTileHw:
     @property
     def stats(self) -> MessagingStats:
         """Snapshot of this tile's registry instruments."""
+        self.noc.settle()
         return MessagingStats(
             migrates_sent=self._m_migrates_sent.value,
             migrates_acked=self._m_migrates_acked.value,
@@ -452,3 +459,88 @@ class ManagerTileHw:
     def in_flight_descriptors(self) -> int:
         """Descriptors sent but not yet ACKed/NACKed."""
         return sum(len(v) for v in self._pending_acks.values())
+
+
+class ParkedUpdates:
+    """Writes the zero UPDATE broadcasts of parked manager ticks.
+
+    A parked tick
+    (:meth:`repro.core.scheduler.AltocumulusSystem._start_ticks`) sends
+    no UPDATE when it runs: it logs its key and the first of the
+    sequence numbers its copies take, and :meth:`fill_in` later does
+    what ``tiles[sender].broadcast_update(0)`` would have done at that
+    key -- the NoC accounting (:meth:`repro.hw.noc.Noc.transmit_log`),
+    the register writes and ``updates_sent``.
+
+    A copy that landed before the fill-in is applied to its reader's
+    queue-length view at once, with any older write still unread in
+    that register: the reader has not read since the copy was sent (a
+    read fills the log in first), and its next read would apply the
+    copy, which nothing else could overwrite in between.  Copies still
+    in flight join the reader's register inbox like any UPDATE.  Either
+    way ``updates_received`` counts them as a delivery would.  By the
+    same argument every write that has landed in a parked reader's
+    registers is read at the fill-in.
+    """
+
+    def __init__(self, tiles: List[ManagerTileHw]) -> None:
+        self._tiles = tiles
+        self.noc = tiles[0].noc
+        #: Per sender: its tile and UPDATE wires, for the NoC.
+        self._routes = [(tile.tile_id, tile._update_wires) for tile in tiles]
+        #: UPDATE copies per broadcast.
+        self._copies = len(tiles) - 1
+        #: Per sender: ``(inbox, reader)`` of each copy, in wire order.
+        self._sinks = [
+            list(zip(tile._update_inboxes,
+                     [p.manager_index for p in tiles if p is not tile]))
+            for tile in tiles
+        ]
+
+    def fill_in(self, log: List[Any], views: List[List[int]], now: float) -> None:
+        """Write the broadcasts of ``log``, flat ``time, seq, sender``
+        triples in key order, all sent before ``now``; ``views[reader]``
+        is the queue-length view each reader's register reads update."""
+        copies = self._copies
+        tiles = self._tiles
+        arrivals = self.noc.transmit_log(
+            zip(log[::3], log[2::3]), self._routes, UPDATE_BYTES,
+            ALTOCUMULUS_VNET,
+        )
+        # Copies still in flight, per (sender, wire): in arrival order,
+        # after every copy of that pair that has landed.
+        flying: Dict[int, List[Tuple[float, int, int]]] = {}
+        for index in [i for i, arrival in enumerate(arrivals) if arrival >= now]:
+            entry, wire = divmod(index, copies)
+            sender = log[3 * entry + 2]
+            flying.setdefault(sender * copies + wire, []).append(
+                (arrivals[index], log[3 * entry + 1] + wire, 0)
+            )
+        sent = [0] * len(tiles)
+        for sender in log[2::3]:
+            sent[sender] += 1
+        for sender, count in enumerate(sent):
+            if not count:
+                continue
+            tiles[sender]._m_updates_sent.value += count * copies
+            pair = sender * copies
+            for inbox, reader in self._sinks[sender]:
+                late = flying.get(pair, ())
+                pair += 1
+                landed = count - len(late)
+                if landed:
+                    # Older writes still unread land first.  (popleft,
+                    # not clear(): an emptied deque keeps its block.)
+                    older = len(inbox)
+                    for _ in range(older):
+                        inbox.popleft()
+                    tiles[reader]._updates_read += older + landed
+                    views[reader][sender] = 0
+                if late:
+                    inbox.extend(late)
+        # The parked readers will not read before their next full tick:
+        # read what has landed now, so their registers stay one write
+        # deep per peer however long they park.
+        for reader, count in enumerate(sent):
+            if count:
+                tiles[reader].read_updates(views[reader], now, -1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import Simulator
 from repro.hw.topology import MeshTopology
@@ -115,10 +115,14 @@ class Noc:
         self._ejection_free: Dict[int, float] = {}
         # Earliest time each directed link (a -> b) frees up.
         self._link_free: Dict[Tuple[int, int], float] = {}
+        # Deferred sends and the callback that accounts them (defer()).
+        self._pending: Sequence[Any] = ()
+        self._settle: Callable[[], None] = lambda: None
 
     @property
     def stats(self) -> NocStats:
         """Snapshot of the NoC's registry instruments."""
+        self.settle()
         return NocStats(
             messages=self._m_messages.value,
             bytes=self._m_bytes.value,
@@ -171,54 +175,95 @@ class Noc:
         ``(dst, hop_ns, flit_time)`` in ``wires``, in order, now; return
         their arrival times in the same order.
 
-        The NoC's one accounting path -- link and ejection-port
-        occupancy, the ``noc.*`` counters and the trace spans -- for
-        messages whose :meth:`wire_times` are ``hop_ns``/``flit_time``.
-        Each message is accounted exactly as if injected alone, in list
-        order.  Delivery is the caller's: :meth:`send` schedules an
-        event at the returned time, while an UPDATE broadcast is written
-        into the receivers' registers
-        (:meth:`repro.hw.messaging.ManagerTileHw.broadcast_update`).  If
-        endpoint serialization is enabled and a destination's ejection
-        port is still draining an earlier message, that arrival is
-        pushed back accordingly.
+        Deferred sends (:meth:`defer`) are accounted first, so they
+        occupy the ports and the counters ahead of these messages, as
+        they would have when they were sent; the accounting itself is
+        :meth:`transmit_log`'s.  Delivery is the caller's: :meth:`send`
+        schedules an event at the returned time, while an UPDATE
+        broadcast is written into the receivers' registers
+        (:meth:`repro.hw.messaging.ManagerTileHw.broadcast_update`).
         """
-        count = len(wires)
-        if not count:
-            return []
-        now = self.sim.now
-        contended = self.link_contention
-        ejection_free = (
-            self._ejection_free if self.endpoint_serialization else None
+        if self._pending:
+            self._settle()
+        return self.transmit_log(
+            ((self.sim.now, 0),), ((src, wires),), size_bytes, vnet
         )
+
+    def transmit_log(
+        self,
+        log: Iterable[Tuple[float, int]],
+        routes: Sequence[Tuple[int, Sequence[Tuple[int, float, float]]]],
+        size_bytes: int,
+        vnet: int,
+    ) -> List[float]:
+        """Account messages sent at or before now and return their
+        arrival times, flat, in order.
+
+        ``log`` holds ``(time, sender)`` sends in the order they were
+        made: each injects one ``size_bytes`` message at ``time`` from
+        tile ``src`` along every ``(dst, hop_ns, flit_time)`` of
+        ``wires``, where ``routes[sender]`` is ``(src, wires)`` and
+        ``hop_ns``/``flit_time`` are a wire's :meth:`wire_times`.  No
+        later message may have been accounted yet (:meth:`defer`).
+        This is the NoC's one accounting path -- link and ejection-port
+        occupancy, the ``noc.*`` counters and the trace spans -- and
+        each message is accounted exactly as if injected alone at its
+        ``time``, in order: the float latency total gets one addition
+        per message.  If endpoint serialization is enabled and a
+        destination's ejection port is still draining an earlier
+        message, that arrival is pushed back accordingly.
+        """
+        contended = self.link_contention
+        serialized = self.endpoint_serialization
+        ejection_free = self._ejection_free
+        free_of = ejection_free.get
         trace = self._trace
         tracing = trace.enabled
         m_latency = self._m_latency
         latency = m_latency.value
-        arrivals = []
-        for dst, hop_ns, flit_time in wires:
-            if contended:
-                arrival = self._contended_arrival(src, dst, flit_time)
-            else:
-                arrival = now + hop_ns + flit_time
-            if ejection_free is not None:
-                free_at = ejection_free.get(dst, 0.0)
-                if free_at > arrival:
-                    arrival = free_at
-                # The ejection port is busy for the message's flit time.
-                ejection_free[dst] = arrival + flit_time
-            # One addition per message, in order: the float total is
-            # bit-identical to accounting the messages one by one.
-            latency += arrival - now
-            if tracing:
-                trace.span("noc", dst, f"vnet{vnet}", now, arrival)
-            arrivals.append(arrival)
-        m_latency.value = latency
-        self._m_messages.value += count
-        self._m_bytes.value += count * size_bytes
-        by_vnet = self._by_vnet
-        by_vnet[vnet] = by_vnet.get(vnet, 0) + count
+        arrivals: List[float] = []
+        append = arrivals.append
+        for time, sender in log:
+            src, wires = routes[sender]
+            for dst, hop_ns, flit_time in wires:
+                if contended:
+                    arrival = self._contended_arrival(src, dst, flit_time, time)
+                else:
+                    arrival = time + hop_ns + flit_time
+                if serialized:
+                    free_at = free_of(dst, 0.0)
+                    if free_at > arrival:
+                        arrival = free_at
+                    # The ejection port is busy for the message's flit time.
+                    ejection_free[dst] = arrival + flit_time
+                latency += arrival - time
+                if tracing:
+                    trace.span("noc", dst, f"vnet{vnet}", time, arrival)
+                append(arrival)
+        count = len(arrivals)
+        if count:
+            m_latency.value = latency
+            self._m_messages.value += count
+            self._m_bytes.value += count * size_bytes
+            by_vnet = self._by_vnet
+            by_vnet[vnet] = by_vnet.get(vnet, 0) + count
         return arrivals
+
+    def defer(self, pending: List[Any], settle: Callable[[], None]) -> None:
+        """Let an owner defer sends: while ``pending`` is non-empty,
+        ``settle()`` runs before any message is injected and before the
+        counters are read (:meth:`settle`), and must account the
+        deferred sends through :meth:`transmit_log` and empty
+        ``pending``.  Parked manager ticks use it for their zero UPDATEs
+        (:meth:`repro.core.scheduler.AltocumulusSystem.fill_in_parked`).
+        """
+        self._pending = pending
+        self._settle = settle
+
+    def settle(self) -> None:
+        """Account the deferred sends, if any (see :meth:`defer`)."""
+        if self._pending:
+            self._settle()
 
     def send(
         self,
@@ -242,15 +287,16 @@ class Noc:
         return arrival
 
     def _contended_arrival(
-        self, src: int, dst: int, serialization: float
+        self, src: int, dst: int, serialization: float, time: float
     ) -> float:
         """Wormhole-style traversal with per-link serialization.
 
         The head flit waits for each link on the XY route to free, then
         holds it for the message's serialization time; the tail flit
-        arrives one serialization window after the head.
+        arrives one serialization window after the head.  The head
+        enters at ``time``.
         """
-        t = self.sim.now
+        t = time
         for link in self.topology.route_links(src, dst):
             t = max(t, self._link_free.get(link, 0.0))
             self._link_free[link] = t + serialization

@@ -32,10 +32,17 @@ class HashIndex:
         #: collision (MICA keeps a 16-bit tag + full-key compare in log).
         self._buckets: List[Dict[bytes, int]] = [dict() for _ in range(n_buckets)]
         self.entries = 0
+        #: key -> its bucket, for every key ever put: :func:`key_hash` is
+        #: a SHA-1 per call, and a store's keys come back again and again
+        #: (a dataset's are all put while it is populated).
+        self._bucket_memo: Dict[bytes, Dict[bytes, int]] = {}
 
     # ------------------------------------------------------------------
     def _bucket_of(self, key: bytes) -> Dict[bytes, int]:
-        return self._buckets[key_hash(key) % self.n_buckets]
+        bucket = self._bucket_memo.get(key)
+        if bucket is None:
+            bucket = self._buckets[key_hash(key) % self.n_buckets]
+        return bucket
 
     def put(self, key: bytes, offset: int) -> None:
         """Insert or update the index entry for ``key``."""
@@ -43,6 +50,7 @@ class HashIndex:
         bucket = self._bucket_of(key)
         if key not in bucket:
             self.entries += 1
+            self._bucket_memo[key] = bucket
         bucket[key] = offset
 
     def get(self, key: bytes) -> Optional[int]:

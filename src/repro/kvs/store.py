@@ -15,7 +15,7 @@ returns a :class:`StoreStats` snapshot for the existing call sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.kvs.hashtable import HashIndex, key_hash
 from repro.kvs.log import CircularLog
@@ -137,11 +137,18 @@ class MicaStore:
             )
             for i in range(n_partitions)
         ]
+        #: key -> owner partition, for every key ever set: ``key_hash``
+        #: is a SHA-1 per call, and a dataset's keys are all set while it
+        #: is populated, so every later lookup of them hits.
+        self._owners: Dict[bytes, int] = {}
 
     # ------------------------------------------------------------------
     def owner_of(self, key: bytes) -> int:
         """The EREW owner partition for a key (stable hash)."""
-        return key_hash(bytes(key)) % len(self.partitions)
+        try:
+            return self._owners[key]
+        except (KeyError, TypeError):  # never set, or not bytes
+            return key_hash(bytes(key)) % len(self.partitions)
 
     def partition(self, index: int) -> MicaPartition:
         return self.partitions[index]
@@ -150,7 +157,9 @@ class MicaStore:
         return self.partitions[self.owner_of(key)].get(key)
 
     def set(self, key: bytes, value: bytes) -> None:
-        self.partitions[self.owner_of(key)].set(key, value)
+        owner = self.owner_of(key)
+        self._owners[bytes(key)] = owner
+        self.partitions[owner].set(key, value)
 
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         return self.partitions[self.owner_of(start_key)].scan(start_key, count)

@@ -39,7 +39,8 @@ throughput:
   documented "cancel after fire is a no-op" contract verbatim.
 * **Timer reuse.**  Periodic machinery (manager runtime ticks, preemption
   quanta) reschedules the *same* Event object via
-  :meth:`Simulator.schedule_timer` instead of allocating one per period.
+  :meth:`Simulator.schedule_timer` (or, from inside its own callback,
+  :meth:`Simulator.rearm`) instead of allocating one per period.
 * **Monomorphic run loop.**  :meth:`Simulator.run` binds the heap, the
   ``heapq`` primitives and the free list to locals and inlines the pop
   path rather than calling :meth:`step` per event.
@@ -234,6 +235,27 @@ class Simulator:
             event = Event(time, seq, fn, args)
         heappush(self._heap, (time, seq, event))
         return event
+
+    def rearm(self, event: Event, delay: float, reserve: int = 0) -> int:
+        """Re-push ``event``, a timer whose callback is running now, to
+        fire the same callback ``delay`` ns from now; first consume
+        ``reserve`` sequence numbers as :meth:`reserve_seq` does, and
+        return the first of them.
+
+        The lean form of :meth:`schedule_timer` for a timer that re-arms
+        itself from its own callback (the manager runtime's tick): no
+        argument packing and no checks.  ``delay`` must be non-negative
+        and ``event`` must have fired and not been cancelled.
+        """
+        first = self._seq
+        seq = first + reserve
+        self._seq = seq + 1
+        time = self.now + delay
+        event.time = time
+        event.seq = seq
+        event.fired = False
+        heappush(self._heap, (time, seq, event))
+        return first
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.  Cancelling twice, or after it has fired,

@@ -184,6 +184,7 @@ class MetricRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
         self._children: List[Tuple[str, "MetricRegistry"]] = []
+        self._before_snapshot: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Registration
@@ -230,6 +231,12 @@ class MetricRegistry:
             raise MetricError("child registry already attached")
         self._children.append((prefix, child))
 
+    def before_snapshot(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` at the start of every :meth:`snapshot`: for an
+        owner that defers updates to owned instruments and must apply
+        them before they are read."""
+        self._before_snapshot.append(fn)
+
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
@@ -257,6 +264,8 @@ class MetricRegistry:
         reading every bound instrument in a datacenter-sized hierarchy.
         Keys keep their full prefixed names either way.
         """
+        for fn in self._before_snapshot:
+            fn()
         if prefix is None:
             out: Dict[str, Any] = {
                 name: instrument.read()

@@ -1,12 +1,14 @@
-"""Fixed Altocumulus runs that pin the manager tick loop's idle path.
+"""Fixed Altocumulus runs that pin the manager tick loop's parked path.
 
-An idle manager tick (empty MR queue, nothing to migrate) skips the
-Algorithm 1 body but must leave every observable output exactly as the
-full tick would: the request timeline, every registry instrument, and
-each runtime's tick count.  ``tests/data/idle_tick_golden.json`` stores
+A parked manager tick (empty MR queue, nothing to migrate) skips the
+Algorithm 1 body and fills in its UPDATE and charge later, but must
+leave every observable output exactly as the full tick would: the
+request timeline, every registry instrument, and each runtime's tick
+count.  ``tests/data/idle_tick_golden.json`` stores
 :func:`idle_tick_snapshot` of each case in :data:`IDLE_TICK_CASES`,
-captured from the tick loop before it had an idle path; the tier-1 test
-``tests/test_idle_ticks.py`` recomputes and compares them.
+each captured from a tick loop that wrote every tick's UPDATE and
+charge when the tick ran; the tier-1 test ``tests/test_idle_ticks.py``
+recomputes and compares them.
 
 The cases cover what an idle tick must still account for: software
 dispatch (the tick's charge delays dispatches), the MSR interface (the
@@ -15,7 +17,12 @@ groups, MIGRATEs into idle groups, tracing (NoC spans of every UPDATE),
 and the threshold cache in ``model`` mode: a threshold-epsilon relax
 through the control plane's actuator after idle stretches at epsilon 0,
 with and without a worker reassignment before it (the cache a nonzero
-epsilon reuses is the one the idle ticks' threshold reads left).
+epsilon reuses is the one the idle ticks' threshold reads left).  The
+later cases add what a parked tick defers past: the data layer's shape
+at low load (every group parked most of the run), software messaging
+and dispatch (MIGRATE charges on the manager core), manager crashes and
+a worker reassignment landing on parked groups, and NoC link
+contention (parked UPDATEs replayed through the link state).
 
 Regenerate (only for an intentional behaviour change)::
 
@@ -55,7 +62,8 @@ from repro.workload.service import Exponential
 #: ``retune`` relaxes ``threshold_epsilon`` to that value a third of the
 #: way through the run and restores 0 at two thirds
 #: (:func:`_schedule_retune`); ``reassign`` first moves a worker from
-#: group 0 to group 1 a sixth of the way through.
+#: group 0 to group 1 a sixth of the way through.  ``fail`` crashes and
+#: restarts each listed group's manager at that fraction of the run.
 IDLE_TICK_CASES: Dict[str, Dict[str, Any]] = {
     "ac_rss@0.25": dict(shape="fig10", rate_mrps=0.25, n=1500),
     "ac_rss@2": dict(shape="fig10", rate_mrps=2.0, n=2000),
@@ -96,6 +104,24 @@ IDLE_TICK_CASES: Dict[str, Dict[str, Any]] = {
     "hw_4x16_burst_traced@16": dict(shape="hw", groups=4, size=16,
                                     rate_mrps=16.0, n=2000, burst=16.0,
                                     trace=True),
+    # The kvs benchmark's server shape without the data layer.
+    "hw_4x8_fixed@6": dict(shape="hw", groups=4, size=8, rate_mrps=6.0,
+                           n=3000,
+                           config=dict(threshold_mode="fixed",
+                                       fixed_threshold=2.0)),
+    "hw_4x16_sw_messaging_burst@16": dict(shape="hw", groups=4, size=16,
+                                          rate_mrps=16.0, n=3000,
+                                          burst=16.0,
+                                          config=dict(messaging="sw",
+                                                      dispatch_mode="sw")),
+    "hw_4x8_fail@4": dict(shape="hw", groups=4, size=8, rate_mrps=4.0,
+                          n=3000, fail=((1 / 3, 2), (2 / 3, 0))),
+    "hw_8x4_reassign_epsilon_relax@4": dict(shape="hw", groups=8, size=4,
+                                            rate_mrps=4.0, n=3000,
+                                            retune=1.0, reassign=True),
+    "hw_4x16_burst_contended@16": dict(shape="hw", groups=4, size=16,
+                                       rate_mrps=16.0, n=2000, burst=16.0,
+                                       config=dict(noc_link_contention=True)),
 }
 
 SEED = 1
@@ -166,9 +192,11 @@ def idle_tick_snapshot(name: str) -> Dict[str, Any]:
         streams = RandomStreams(SEED)
         system, service = _build(sim, streams, case)
         rate_rps = case["rate_mrps"] * 1e6
+        span_ns = case["n"] / rate_rps * 1e9
         if "retune" in case:
-            _schedule_retune(sim, streams, system, case,
-                             case["n"] / rate_rps * 1e9)
+            _schedule_retune(sim, streams, system, case, span_ns)
+        for fraction, group in case.get("fail", ()):
+            sim.schedule_at(fraction * span_ns, system.fail_manager, group)
         if "burst" in case:
             arrivals = MMPPArrivals(rate_rps, batch_mean=case["burst"])
         else:

@@ -83,3 +83,23 @@ class TestStore:
     def test_validation(self):
         with pytest.raises(ValueError):
             MicaStore(0)
+
+
+def test_hash_memos_match_sha1_for_every_dataset_key():
+    """The owner and bucket memos filled while a dataset is populated
+    equal the SHA-1 truncation for every key, so lookups through them
+    route exactly as hashing each time would."""
+    from repro.kvs.dataset import build_dataset
+    from repro.kvs.hashtable import key_hash
+
+    dataset = build_dataset(n_partitions=4, n_keys=2_000, seed=3)
+    store = dataset.store
+    assert len(store._owners) == len(dataset.keys)
+    for key in dataset.keys:
+        digest = key_hash(key)
+        owner = digest % store.n_partitions
+        assert store._owners[key] == owner == store.owner_of(key)
+        index = store.partition(owner).index
+        assert index._bucket_memo[key] is index._buckets[
+            digest % index.n_buckets
+        ]
