@@ -22,7 +22,11 @@ later cases add what a parked tick defers past: the data layer's shape
 at low load (every group parked most of the run), software messaging
 and dispatch (MIGRATE charges on the manager core), manager crashes and
 a worker reassignment landing on parked groups, and NoC link
-contention (parked UPDATEs replayed through the link state).
+contention (parked UPDATEs replayed through the link state).  The
+engine cases pin what the simulator reports around parked ticks: two
+systems sharing one simulator, and runs cut short by ``max_events`` or
+``stop()`` while groups park (``end_cut``, ``events_processed``,
+``pending`` and ``updates_received`` at every cut).
 
 Regenerate (only for an intentional behaviour change)::
 
@@ -50,6 +54,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry import MetricRegistry, TraceSink, capture
 from repro.workload.arrivals import MMPPArrivals, PoissonArrivals
+from repro.workload.generator import LoadGenerator
 from repro.workload.service import Exponential
 
 #: Case name -> parameters.  ``fig10`` cases build fig10's ``ac_rss``
@@ -122,6 +127,27 @@ IDLE_TICK_CASES: Dict[str, Dict[str, Any]] = {
     "hw_4x16_burst_contended@16": dict(shape="hw", groups=4, size=16,
                                        rate_mrps=16.0, n=2000, burst=16.0,
                                        config=dict(noc_link_contention=True)),
+    # Engine cases (:func:`_engine_snapshot`): two systems with different
+    # group counts and tick cadences on one simulator, so their parked
+    # ticks' keys interleave; and runs cut short while groups park, by
+    # the ``max_events`` budget every ``chunk`` events, or by
+    # ``sim.stop()`` at each ``(fraction, after_ticks)``: at the tick
+    # grid time nearest that fraction of the run, before the ticks due
+    # then or after them.
+    "pair_hw_4x8@2_ac_rss@0.5": dict(
+        shape="pair",
+        members=(dict(shape="hw", groups=4, size=8, rate_mrps=2.0, n=1500),
+                 dict(shape="fig10", rate_mrps=0.5, n=600)),
+    ),
+    "hw_4x8_max_events@1": dict(shape="hw", groups=4, size=8, rate_mrps=1.0,
+                                n=1500, chunk=4099),
+    "ac_rss_max_events@0.25": dict(shape="fig10", rate_mrps=0.25, n=400,
+                                   chunk=1999),
+    "hw_4x8_stop@1": dict(shape="hw", groups=4, size=8, rate_mrps=1.0,
+                          n=1500,
+                          stops=((0.25, False), (0.5, True), (0.75, False))),
+    "ac_rss_stop@0.25": dict(shape="fig10", rate_mrps=0.25, n=400,
+                             stops=((0.3, True), (0.6, False))),
 }
 
 SEED = 1
@@ -186,6 +212,8 @@ def idle_tick_snapshot(name: str) -> Dict[str, Any]:
     """Run one case and return its registry snapshot, request digest,
     per-runtime tick counts and (traced cases) trace digest."""
     case = IDLE_TICK_CASES[name]
+    if case["shape"] == "pair" or "chunk" in case or "stops" in case:
+        return _engine_snapshot(case)
     sink = TraceSink(capacity=1_000_000) if case.get("trace") else None
     with capture(trace=sink):
         sim = Simulator()
@@ -221,6 +249,75 @@ def idle_tick_snapshot(name: str) -> Dict[str, Any]:
         snapshot["trace_sha256"] = hashlib.sha256(
             json.dumps(_canonical(sink.chrome_events())).encode()
         ).hexdigest()
+    return snapshot
+
+
+def _engine_snapshot(case: Dict[str, Any]) -> Dict[str, Any]:
+    """Run an engine case (see :data:`IDLE_TICK_CASES`) without
+    ``run_workload``: its own generators, Poisson arrivals, no
+    ``expect``, to a horizon of twice the longest member's span.  A
+    ``chunk`` or ``stops`` case records the engine's and the tiles'
+    state at every cut, reading each tile's stats (which fills the
+    parked ticks in)."""
+    sim = Simulator()
+    members = case["members"] if case["shape"] == "pair" else (case,)
+    built = []
+    horizon = 0.0
+    for index, member in enumerate(members):
+        streams = RandomStreams(SEED + index)
+        system, service = _build(sim, streams, member)
+        rate_rps = member["rate_mrps"] * 1e6
+        generator = LoadGenerator(
+            sim, streams, PoissonArrivals(rate_rps), service,
+            sink=system.offer, n_requests=member["n"], warmup_fraction=0.1,
+        )
+        generator.attach(system)
+        generator.start()
+        built.append((system, generator))
+        horizon = max(horizon, 2 * member["n"] / rate_rps * 1e9)
+    system = built[0][0]
+    cuts = []
+
+    def record() -> None:
+        stats = [hw.stats for hw in system.managers]
+        cuts.append(_canonical({
+            "now": sim.now,
+            "end_cut": list(sim.end_cut),
+            "events_processed": sim.events_processed,
+            "pending": sim.pending,
+            "pending_active": sim.pending_active,
+            "updates_received": [s.updates_received for s in stats],
+            "ticks": [runtime.ticks for runtime in system.runtimes],
+        }))
+
+    period = system.config.period_ns
+    for fraction, after_ticks in case.get("stops", ()):
+        at = round(fraction * horizon / 2 / period) * period
+        if after_ticks:
+            # Scheduled once the ticks due at ``at`` are re-armed.
+            sim.schedule_at(at - 1.0, sim.schedule_at, at, sim.stop)
+        else:
+            sim.schedule_at(at, sim.stop)
+    if "chunk" in case or "stops" in case:
+        while sim.now < horizon:
+            sim.run(until=horizon, max_events=case.get("chunk"))
+            record()
+    else:
+        sim.run(until=horizon)
+    snapshot: Dict[str, Any] = {"cuts": cuts, "members": []}
+    for system, generator in built:
+        system.shutdown()
+        hasher = hashlib.sha256()
+        for r in generator.requests:
+            hasher.update(json.dumps((
+                r.req_id, repr(r.arrival), repr(r.enqueued), repr(r.started),
+                repr(r.finished), r.migrations, r.core_id, r.group_id,
+            )).encode())
+        snapshot["members"].append({
+            "requests_sha256": hasher.hexdigest(),
+            "ticks": [runtime.ticks for runtime in system.runtimes],
+            "metrics": _canonical(system.metrics.snapshot()),
+        })
     return snapshot
 
 
