@@ -94,7 +94,7 @@ class RetryClient:
         #: Response fence: False when the completing attempt's response
         #: was lost (its server is down).  The injector supplies this.
         self._response_delivered = response_delivered
-        self._rng = streams.get("client_retry")
+        self._rng = streams.draws("client_retry")
         registry = (
             registry
             if registry is not None

@@ -76,7 +76,7 @@ class FaultInjector:
         self.sim = sim
         self.plan = plan
         self.system = system
-        self._rng = streams.get("faults")
+        self._rng = streams.draws("faults")
         registry: MetricRegistry = getattr(system, "metrics", None)
         if registry is None:
             registry = MetricRegistry()

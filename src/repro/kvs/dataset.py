@@ -10,11 +10,12 @@ the full-size figure is a parameter away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.kvs.store import MicaStore
+from repro.sim.rng import ExactDraws
 from repro.telemetry import MetricRegistry
 
 #: Paper's key/value sizes.
@@ -33,12 +34,15 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def sample_key(self, rng: np.random.Generator, zipf_s: float = 0.0) -> bytes:
+    def sample_key(
+        self, rng: Union[np.random.Generator, ExactDraws], zipf_s: float = 0.0
+    ) -> bytes:
         """Draw a key: uniform by default, Zipf-skewed when ``zipf_s > 0``
-        (hot-key popularity typical of KVS traffic)."""
+        (hot-key popularity typical of KVS traffic).  ``rng`` is a numpy
+        ``Generator`` or its pure-Python scalar reader."""
         n = len(self.keys)
         if zipf_s <= 0:
-            return self.keys[int(rng.integers(0, n))]
+            return self.keys[rng.integers(0, n)]
         # Bounded-Zipf via rejection-free inverse-CDF approximation.
         u = rng.random()
         rank = int(n * u ** (1.0 / (1.0 - zipf_s))) if zipf_s < 1.0 else int(

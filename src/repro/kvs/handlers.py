@@ -33,6 +33,7 @@ from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
 from repro.hw.memory import MemoryBandwidthModel
 from repro.kvs.dataset import Dataset
 from repro.kvs.ownership import OWNERSHIP_MODES, OwnershipTable
+from repro.sim.rng import ExactDraws
 from repro.workload.connections import ConnectionPool
 from repro.workload.request import Request, RequestKind
 
@@ -200,7 +201,9 @@ class MicaWorkload:
         self._hot_keys = (
             self._pick_hot_keys(int(hot_keys)) if hot_key_fraction > 0 else []
         )
-        self._rng = np.random.default_rng(seed)
+        #: Per-request draws: numpy's ``default_rng(seed)`` stream, read
+        #: through the pure-Python scalar reader.
+        self._rng = ExactDraws(np.random.PCG64(seed))
         self._pool = ConnectionPool(max(1024, 64 * n_groups))
         self._conn_for_group = (
             self._find_representative_connections() if affinity else []
@@ -273,7 +276,7 @@ class MicaWorkload:
             # Hot-key mix: a concentrated slice of traffic hammers a
             # handful of keys all owned by one partition.
             hot = self._hot_keys
-            key = hot[int(self._rng.integers(0, len(hot)))]
+            key = hot[self._rng.integers(0, len(hot))]
         else:
             key = self.dataset.sample_key(self._rng, self.zipf_s)
         owner = self.dataset.store.owner_of(key)
@@ -281,12 +284,12 @@ class MicaWorkload:
         request.key = key
         if self.affinity:
             pool = self._conn_for_group[owner % self.n_groups]
-            request.connection = pool[int(self._rng.integers(0, len(pool)))]
+            request.connection = pool[self._rng.integers(0, len(pool))]
         else:
             # Multi-leaf fabrics: no owner-affine flow placement; the
             # fabric's own steering decides where the request lands.
-            request.connection = int(
-                self._rng.integers(0, self._pool.n_connections)
+            request.connection = self._rng.integers(
+                0, self._pool.n_connections
             )
         probe = self.dataset.store.partitions[owner].index.bucket_load(key)
         request.service_time = self.model.service_ns(kind, probe)
