@@ -323,8 +323,8 @@ class ManagerRuntime:
         0 or no ``model`` threshold): it broadcasts 0 and sends
         nothing, since no request is over any threshold and line 8
         rejects every destination.  The system runs none of it at the
-        tick (:meth:`repro.core.scheduler.AltocumulusSystem._start_ticks`
-        counts it and writes its UPDATE and charge later); what it
+        tick (:class:`repro.core.scheduler.ParkedTicks` counts it and
+        writes its UPDATE and charge later); what it
         leaves here is the local slot at 0 and, under a ``model``
         threshold, the load its threshold read would have cached, which
         the next read that needs it caches.  That load is the last
