@@ -22,7 +22,7 @@ bench:
 ## pytest-benchmark JSON; defaults to the committed baseline).
 ## BENCH_GATED is the one list of gated benchmarks: CI's A/B gate runs
 ## `bench-gate-run` in both trees and `bench-gate-compare` on the pair.
-BENCH_BASELINE ?= BENCH_20261018T085501Z.json
+BENCH_BASELINE ?= BENCH_20261018T141455Z.json
 BENCH_JSON ?= BENCH_gate_candidate.json
 BENCH_GATED = test_event_heap_throughput,test_full_system_simulation_rate,test_bench_fanout_jobs,test_altocumulus_idle_tick_rate
 comma := ,
