@@ -54,8 +54,6 @@ class AltocumulusConfig:
     steering_policy:
         NIC steering across manager NetRX queues ("connection",
         "random", "round_robin").
-    mr_capacity:
-        Bound on each manager's MR file (None = memory-backed/unbounded).
     runtime_enabled:
         False disables prediction+migration entirely (the "before the
         Altocumulus runtime has started" baseline of Fig. 14).
@@ -84,7 +82,6 @@ class AltocumulusConfig:
     worker_bound: int = 2
     allow_remigration: bool = False
     steering_policy: str = "connection"
-    mr_capacity: Optional[int] = None
     runtime_enabled: bool = True
     messaging: str = "hw"
     dispatch_mode: Optional[str] = None

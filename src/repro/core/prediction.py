@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -133,70 +133,6 @@ class ThresholdModel:
         return self.a * (self.c * nq + self.d) + self.b
 
 
-@lru_cache(maxsize=_ERLANG_CACHE_SIZE)
-def harmonic_number(k: int) -> float:
-    """``H_k = 1 + 1/2 + ... + 1/k``: the expected maximum of ``k``
-    iid Exp(1) variables -- the tail-at-scale inflation factor of
-    k-of-k scatter-gather completion."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return sum(1.0 / i for i in range(1, k + 1))
-
-
-def expected_job_latency(
-    k: int, load_erlangs: float, mean_service_ns: float, fanout: int
-) -> float:
-    """Approximate mean latency of a ``fanout``-wide scatter-gather job.
-
-    Each sibling's sojourn is roughly ``E[W] + E[S]`` (M/M/k wait plus
-    service); the job completes on the *last* of ``fanout`` near-iid
-    exponential-ish sojourns, whose expected maximum inflates by the
-    harmonic number ``H_fanout``.  Eq. 1 alone (``fanout == 1``) is the
-    single-request special case -- and is *wrong* for k-of-k completion,
-    which is why the corrected estimator exists.
-    """
-    if fanout < 1:
-        raise ValueError(f"fanout must be >= 1, got {fanout}")
-    sojourn = expected_wait(k, load_erlangs, mean_service_ns) + mean_service_ns
-    if math.isinf(sojourn):
-        return float("inf")
-    return harmonic_number(fanout) * sojourn
-
-
-@dataclass(frozen=True)
-class FanoutCorrectedModel(ThresholdModel):
-    """Eq. 2 corrected for k-of-k scatter-gather completion.
-
-    A job violates its SLO when its *slowest* sibling does, so with
-    ``fanout`` siblings the job-level tail inflates by ``H_fanout`` and
-    the per-sibling latency slack shrinks by the same factor: the
-    migration threshold must fire at a queue length ``H_fanout`` times
-    shorter than the single-request model predicts.  Plugs into the
-    existing :attr:`repro.core.config.AltocumulusConfig.threshold_model`
-    seam unchanged.
-    """
-
-    fanout: int = 1
-
-    def threshold(self, k: int, load_erlangs: float) -> float:
-        base = ThresholdModel.threshold(self, k, load_erlangs)
-        if math.isinf(base):
-            return base
-        return base / harmonic_number(self.fanout)
-
-
-def fanout_corrected_model(
-    base: ThresholdModel, fanout: int
-) -> FanoutCorrectedModel:
-    """Wrap a calibrated single-request model for a fan-out workload."""
-    if fanout < 1:
-        raise ValueError(f"fanout must be >= 1, got {fanout}")
-    return FanoutCorrectedModel(
-        a=base.a, b=base.b, c=base.c, d=base.d,
-        name=f"{base.name}+fanout{fanout}", fanout=fanout,
-    )
-
-
 def upper_bound_threshold(k: int, slo_multiplier: float) -> float:
     """``T_upper = k * L + 1``: the naive bound of Sec. IV.
 
@@ -235,31 +171,6 @@ def calibrate_threshold_model(
         raise ValueError("not enough finite calibration points")
     slope, intercept = np.polyfit(xs[finite], ys[finite], 1)
     return ThresholdModel(a=float(slope), b=float(intercept), c=c, d=d, name=name)
-
-
-#: Distribution-family constants.  The Fixed entry is the worked example
-#: of Fig. 7(d): a=1.01, c=0.998, b=d=0.  Uniform and Bimodal carry
-#: variance corrections estimated from the same simulation methodology
-#: (higher service variance -> earlier violations -> lower threshold).
-DEFAULT_MODELS: Dict[str, ThresholdModel] = {
-    "fixed": ThresholdModel(a=1.01, b=0.0, c=0.998, d=0.0, name="fixed"),
-    "uniform": ThresholdModel(a=0.85, b=0.0, c=0.998, d=0.0, name="uniform"),
-    "bimodal": ThresholdModel(a=1.30, b=0.0, c=0.998, d=0.0, name="bimodal"),
-    "exponential": ThresholdModel(a=1.0, b=0.0, c=1.0, d=0.0, name="exponential"),
-}
-
-
-def variance_corrected_model(squared_cv: float, name: str = "corrected") -> ThresholdModel:
-    """Build a model whose ``c`` applies the Allen-Cunneen-style variance
-    correction ``(1 + CV^2) / 2`` to the M/M/k queue length.
-
-    This is the principled default when no calibration data exists for a
-    distribution family: deterministic service (CV^2=0) halves the
-    expected queue, heavy-tailed service grows it.
-    """
-    if squared_cv < 0:
-        raise ValueError(f"squared CV must be >= 0, got {squared_cv}")
-    return ThresholdModel(a=1.0, b=0.0, c=(1.0 + squared_cv) / 2.0, d=0.0, name=name)
 
 
 def first_violation_threshold(

@@ -147,7 +147,6 @@ class AltocumulusSystem(RpcSystem):
                 tile_id=tile,
                 manager_index=group,
                 constants=constants,
-                mr_capacity=config.mr_capacity,
                 on_migrate_in=self._make_on_migrate_in(group),
                 migrator_ns_per_entry=(
                     constants.coherence_msg_ns if config.messaging == "sw" else 0.5
@@ -213,16 +212,8 @@ class AltocumulusSystem(RpcSystem):
         #: function of mesh geometry, precomputed once instead of walking
         #: the topology on every dispatch.
         self._hw_dispatch_ns: List[List[float]] = [
-            [
-                20.0
-                + self.topology.hops(
-                    group * config.group_size,
-                    group * config.group_size + 1 + worker,
-                )
-                * constants.noc_hop_ns
-                for worker in range(config.workers_per_group)
-            ]
-            for group in range(g)
+            [self._hw_push_ns(group, core.core_id) for core in cores]
+            for group, cores in enumerate(self._worker_cores)
         ]
 
         for group in range(g):
@@ -244,23 +235,6 @@ class AltocumulusSystem(RpcSystem):
                 self._start_ticks(group)
 
     # ------------------------------------------------------------------
-    # Group/core index arithmetic
-    # ------------------------------------------------------------------
-    def _worker_core(self, group: int, worker: int) -> Core:
-        """Worker ``worker`` of ``group`` (managers are index 0 in-group).
-
-        Reads the live assignment table rather than the construction
-        formula, so it stays correct after control-plane reassignment.
-        """
-        return self._worker_cores[group][worker]
-
-    def _group_of_core(self, core_id: int) -> int:
-        return self._core_group[core_id]
-
-    def _worker_index(self, core_id: int) -> int:
-        return self._core_worker[core_id]
-
-    # ------------------------------------------------------------------
     # NIC arrival path
     # ------------------------------------------------------------------
     def _deliver(self, request: Request) -> None:
@@ -272,9 +246,7 @@ class AltocumulusSystem(RpcSystem):
         if self._settle_on_estimate and self.runtimes[group].parked:
             self.runtimes[group].settle_parked()
         self.estimators[group].record_arrival(self.sim.now)
-        if not mrs.enqueue(request):
-            self._drop(request)  # bounded MR file overflowed
-            return
+        mrs.enqueue(request)
         trace = self.trace
         if trace.enabled and trace.sampled(request.req_id):
             trace.mark(request.req_id, "netrx_queue", self.sim.now)
@@ -357,6 +329,15 @@ class AltocumulusSystem(RpcSystem):
                 best = idx
                 best_v = v
         return best
+
+    def _hw_push_ns(self, group: int, core_id: int) -> float:
+        """Hardware JBSQ push latency from ``group``'s manager tile to
+        worker core ``core_id``."""
+        return (
+            20.0
+            + self.topology.hops(group * self.config.group_size, core_id)
+            * self.constants.noc_hop_ns
+        )
 
     def _dispatch_delay(self, group: int, worker: int) -> float:
         """Latency until the dispatched request reaches its worker."""
@@ -482,7 +463,7 @@ class AltocumulusSystem(RpcSystem):
     def _restore_batch(self, group: int, batch: List[Request]) -> None:
         mrs = self.managers[group].mrs
         for request in batch:
-            mrs.enqueue_reserved(request)  # slots still logically held
+            mrs.enqueue(request)
 
     def _charge_manager(self, group: int, ns: float) -> None:
         """Account manager-core time.
@@ -539,8 +520,8 @@ class AltocumulusSystem(RpcSystem):
         them (:meth:`_on_dead_nack` drops those) -- and every descriptor
         queued in its MR file is orphaned.  Orphans are re-dispatched
         round-robin into peer groups' MR files (RackSched-style
-        failover of queue state); peers with no room, or a single-group
-        system with no peers, drop them visibly so the client can retry.
+        failover of queue state); a single-group system, with no peers,
+        drops them visibly so the client can retry.
 
         Returns ``(in_flight_forgotten, orphans_redispatched)``.
         """
@@ -552,30 +533,18 @@ class AltocumulusSystem(RpcSystem):
         hw = self.managers[group]
         forgotten = hw.in_flight_descriptors
         orphans = hw.fail()
-        redispatched = 0
         if cfg.n_groups == 1:
             for request in orphans:
                 self._drop(request)
             return forgotten, 0
         peers = [(group + 1 + i) % cfg.n_groups for i in range(cfg.n_groups - 1)]
-        cursor = 0
-        touched: Set[int] = set()
-        for request in orphans:
-            placed = False
-            for attempt in range(len(peers)):
-                dst = peers[(cursor + attempt) % len(peers)]
-                if self.managers[dst].mrs.enqueue(request):
-                    request.group_id = dst
-                    touched.add(dst)
-                    redispatched += 1
-                    cursor = (cursor + attempt + 1) % len(peers)
-                    placed = True
-                    break
-            if not placed:
-                self._drop(request)
-        for dst in sorted(touched):
+        for index, request in enumerate(orphans):
+            dst = peers[index % len(peers)]
+            self.managers[dst].mrs.enqueue(request)
+            request.group_id = dst
+        for dst in sorted(peers[:len(orphans)]):
             self._pump_group(dst)
-        return forgotten, redispatched
+        return forgotten, len(orphans)
 
     def _on_dead_nack(self, requests: List[Request]) -> None:
         """Descriptors bounced back to a crashed manager are gone."""
@@ -623,9 +592,7 @@ class AltocumulusSystem(RpcSystem):
         self.local_wait[dst_group].append(deque())
         self._worker_cores[dst_group].append(core)
         self._hw_dispatch_ns[dst_group].append(
-            20.0
-            + self.topology.hops(dst_group * cfg.group_size, core.core_id)
-            * self.constants.noc_hop_ns
+            self._hw_push_ns(dst_group, core.core_id)
         )
         self._core_group[core.core_id] = dst_group
         self._core_worker[core.core_id] = new_worker
@@ -651,7 +618,10 @@ class AltocumulusSystem(RpcSystem):
 
     def total_migrated(self) -> int:
         """Requests that completed at least one migration."""
-        return sum(hw.stats.descriptors_accepted for hw in self.managers)
+        return sum(
+            self.metrics.get(f"messaging.m{group}.descriptors_accepted").read()
+            for group in range(self.config.n_groups)
+        )
 
     def _start_ticks(self, group: int) -> None:
         """Start the group's self-rescheduling runtime tick.
@@ -711,9 +681,8 @@ class AltocumulusSystem(RpcSystem):
 
         Runs before anything could observe what they left out: any NoC
         transmit (:meth:`repro.hw.noc.Noc.defer`), any tick that runs
-        Algorithm 1 (its register read), a read of the NoC or messaging
-        stats, a registry snapshot, shutdown, and every
-        :data:`PARK_LOG_LIMIT` parked ticks.
+        Algorithm 1 (its register read), a registry snapshot, shutdown,
+        and every :data:`PARK_LOG_LIMIT` parked ticks.
         """
         log = self._park_log
         if not log:

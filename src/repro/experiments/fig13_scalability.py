@@ -36,7 +36,12 @@ from repro.experiments.common import (
 )
 from repro.hw.constants import DEFAULT_CONSTANTS
 from repro.hw.nic import PcieDelivery
-from repro.kvs import MicaServiceModel, MicaWorkload, build_dataset
+from repro.kvs import (
+    MicaServiceModel,
+    MicaWorkload,
+    attach_executor,
+    build_dataset,
+)
 from repro.runner import PointSpec, ref, run_points
 from repro.schedulers.jbsq import nebula
 from repro.schedulers.rss import RssSystem
@@ -138,10 +143,7 @@ def _system_builder(
     if not realistic:
         return system
     workload = _mica_workload(n_cores, seed, zipf_s=zipf_s)
-    if isinstance(system, AltocumulusSystem):
-        system.execution_penalty = workload.execute
-    else:
-        system.completion_hooks.append(workload.execute)
+    attach_executor(system, workload.execute)
     return system, workload.request_factory
 
 

@@ -26,7 +26,12 @@ from repro.experiments.common import (
     scaled,
 )
 from repro.hw.constants import DEFAULT_CONSTANTS
-from repro.kvs import MicaServiceModel, MicaWorkload, build_dataset
+from repro.kvs import (
+    MicaServiceModel,
+    MicaWorkload,
+    attach_executor,
+    build_dataset,
+)
 from repro.runner import PointSpec, ref, run_points
 from repro.schedulers.jbsq import nebula
 from repro.workload.service import Fixed
@@ -105,10 +110,7 @@ def _wired_builder(sim, streams, system: str, seed: int):
         zipf_s=0.9,
         seed=seed,
     )
-    if isinstance(sys_obj, AltocumulusSystem):
-        sys_obj.execution_penalty = workload.execute
-    else:
-        sys_obj.completion_hooks.append(workload.execute)
+    attach_executor(sys_obj, workload.execute)
     return sys_obj, workload.request_factory
 
 

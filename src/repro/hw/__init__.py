@@ -15,7 +15,6 @@ from repro.hw.nic import DeliveryModel, HwTerminatedDelivery, PcieDelivery, RssS
 from repro.hw.cores import Core
 from repro.hw.registers import HardwareFifo, MigrationRegisterFile
 from repro.hw.coherence import CoherenceModel
-from repro.hw.memory import MemoryBandwidthModel
 from repro.hw.messaging import ManagerTileHw, MessageType
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "HardwareFifo",
     "MigrationRegisterFile",
     "CoherenceModel",
-    "MemoryBandwidthModel",
     "ManagerTileHw",
     "MessageType",
 ]

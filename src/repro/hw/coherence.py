@@ -40,15 +40,3 @@ class CoherenceModel:
     def interrupt_ns(self) -> float:
         """Inter-processor interrupt (the slow preemption path)."""
         return self.constants.interrupt_ns
-
-    def shared_cache_update_ns(self, n_readers: int) -> float:
-        """Publishing one cache line of state to ``n_readers`` cores.
-
-        Each reader misses once; the writer's cost is one coherence
-        message, but the *visibility latency* seen by the last reader
-        grows with the reader count.  Used to contrast software queue-
-        length sharing against hardware UPDATE broadcasts (Sec. V-A).
-        """
-        if n_readers < 0:
-            raise ValueError(f"n_readers must be >= 0, got {n_readers}")
-        return self.constants.coherence_msg_ns * max(1, n_readers)

@@ -11,9 +11,9 @@ Message types
   which the runtime reads at the start of each tick (see
   :meth:`ManagerTileHw.broadcast_update`).
 * ``ACK``/``NACK`` -- migration accepted (source forgets the
-  descriptors) or rejected because the destination's receive FIFO / MR
-  file is full (source restores them; the migration is *not* replayed,
-  per Sec. V-A).
+  descriptors) or rejected because the destination's receive FIFO is
+  full (source restores them; the migration is *not* replayed, per
+  Sec. V-A).
 
 Fidelity notes
 --------------
@@ -78,25 +78,7 @@ class _Payload:
     migrate_id: int = 0
 
 
-@dataclass
-class MessagingStats:
-    """Point-in-time view of one tile's protocol counters.
-
-    Snapshot of the registry-owned instruments; read via
-    :attr:`ManagerTileHw.stats`.
-    """
-
-    migrates_sent: int = 0
-    migrates_acked: int = 0
-    migrates_nacked: int = 0
-    descriptors_sent: int = 0
-    descriptors_accepted: int = 0
-    updates_sent: int = 0
-    updates_received: int = 0
-    send_backpressure: int = 0
-
-
-#: Counter suffixes registered per tile, in MessagingStats field order.
+#: Counter suffixes registered per tile (``messaging.m<i>.<suffix>``).
 _TILE_COUNTERS = (
     "migrates_sent",
     "migrates_acked",
@@ -115,8 +97,7 @@ class ManagerTileHw:
     The runtime (software) talks to this object through
     :meth:`send_migrate` (MIGRATE) and :meth:`broadcast_update`
     (UPDATE), reads peers' UPDATEs with
-    :meth:`read_updates`, and receives two callbacks:
-    ``on_migrate_in`` and ``on_migrate_rejected``.
+    :meth:`read_updates`, and receives the ``on_migrate_in`` callback.
     """
 
     def __init__(
@@ -126,9 +107,7 @@ class ManagerTileHw:
         tile_id: int,
         manager_index: int,
         constants: HwConstants = DEFAULT_CONSTANTS,
-        mr_capacity: Optional[int] = None,
         on_migrate_in: Optional[Callable[[List[Request], int], None]] = None,
-        on_migrate_rejected: Optional[Callable[[List[Request], int], None]] = None,
         migrator_ns_per_entry: float = 0.5,
         registry: Optional[MetricRegistry] = None,
     ) -> None:
@@ -137,13 +116,10 @@ class ManagerTileHw:
         self.tile_id = int(tile_id)
         self.manager_index = int(manager_index)
         self.constants = constants
-        self.mrs = MigrationRegisterFile(
-            capacity=mr_capacity, entry_bytes=constants.mr_entry_bytes
-        )
+        self.mrs = MigrationRegisterFile()
         self.send_fifo = HardwareFifo(constants.send_fifo_entries)
         self.recv_fifo = HardwareFifo(constants.recv_fifo_entries)
         self.on_migrate_in = on_migrate_in
-        self.on_migrate_rejected = on_migrate_rejected
         self.migrator_ns_per_entry = float(migrator_ns_per_entry)
         # Protocol accounting lives in owned registry instruments under
         # a per-tile namespace; a standalone tile gets a private
@@ -347,14 +323,9 @@ class ManagerTileHw:
 
     def _receive_migrate(self, payload: _Payload) -> None:
         requests = payload.requests
-        mr_free = self.mrs.free_slots()
-        room = self.recv_fifo.free_slots() >= len(requests) and (
-            mr_free is None or mr_free >= len(requests)
-        )
-        if not room:
+        if not self.recv_fifo.push_many(requests):
             self._reply(payload, MessageType.NACK)
             return
-        self.recv_fifo.push_many(requests)
         # The migrator drains the receive FIFO into the local MR file.
         drain = len(requests) * self.migrator_ns_per_entry
         self.sim.schedule(drain, self._drain_into_mrs, payload)
@@ -412,13 +383,9 @@ class ManagerTileHw:
             self._m_migrates_acked.value += 1
             return
         # NACK: the destination rejected the batch; restore it locally.
-        # The slots are still logically reserved at the source, so the
-        # restore bypasses the capacity check.
         self._m_migrates_nacked.value += 1
         for r in pending:
-            self.mrs.enqueue_reserved(r)
-        if self.on_migrate_rejected is not None:
-            self.on_migrate_rejected(pending, payload.src_manager)
+            self.mrs.enqueue(r)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -441,21 +408,6 @@ class ManagerTileHw:
         return orphans
 
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> MessagingStats:
-        """Snapshot of this tile's registry instruments."""
-        self.noc.settle()
-        return MessagingStats(
-            migrates_sent=self._m_migrates_sent.value,
-            migrates_acked=self._m_migrates_acked.value,
-            migrates_nacked=self._m_migrates_nacked.value,
-            descriptors_sent=self._m_descriptors_sent.value,
-            descriptors_accepted=self._m_descriptors_accepted.value,
-            updates_sent=self._m_updates_sent.value,
-            updates_received=self._m_updates_received.read(),
-            send_backpressure=self._m_send_backpressure.value,
-        )
-
     @property
     def in_flight_descriptors(self) -> int:
         """Descriptors sent but not yet ACKed/NACKed."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import Simulator
@@ -51,24 +51,6 @@ class NocMessage:
     def flits(self) -> int:
         """Number of flits the message occupies (header rides in flit 0)."""
         return max(1, math.ceil(self.size_bytes / FLIT_BYTES))
-
-
-@dataclass
-class NocStats:
-    """Point-in-time view of NoC accounting for overhead studies.
-
-    Snapshot of the registry-owned instruments; read via
-    :attr:`Noc.stats`.  Mutating a snapshot does not affect the NoC.
-    """
-
-    messages: int = 0
-    bytes: int = 0
-    total_latency_ns: float = 0.0
-    by_vnet: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def mean_latency_ns(self) -> float:
-        return self.total_latency_ns / self.messages if self.messages else 0.0
 
 
 class Noc:
@@ -118,17 +100,6 @@ class Noc:
         # Deferred sends and the callback that accounts them (defer()).
         self._pending: Sequence[Any] = ()
         self._settle: Callable[[], None] = lambda: None
-
-    @property
-    def stats(self) -> NocStats:
-        """Snapshot of the NoC's registry instruments."""
-        self.settle()
-        return NocStats(
-            messages=self._m_messages.value,
-            bytes=self._m_bytes.value,
-            total_latency_ns=self._m_latency.value,
-            by_vnet=self._by_vnet,
-        )
 
     def latency(self, msg: NocMessage) -> float:
         """Uncontended wire latency for a message."""
@@ -251,19 +222,16 @@ class Noc:
 
     def defer(self, pending: List[Any], settle: Callable[[], None]) -> None:
         """Let an owner defer sends: while ``pending`` is non-empty,
-        ``settle()`` runs before any message is injected and before the
-        counters are read (:meth:`settle`), and must account the
-        deferred sends through :meth:`transmit_log` and empty
-        ``pending``.  Parked manager ticks use it for their zero UPDATEs
+        ``settle()`` runs before any message is injected, and must
+        account the deferred sends through :meth:`transmit_log` and
+        empty ``pending``.  The owner also settles before the counters
+        are read
+        (:meth:`repro.telemetry.MetricRegistry.before_snapshot`).  Parked
+        manager ticks use it for their zero UPDATEs
         (:meth:`repro.core.scheduler.AltocumulusSystem.fill_in_parked`).
         """
         self._pending = pending
         self._settle = settle
-
-    def settle(self) -> None:
-        """Account the deferred sends, if any (see :meth:`defer`)."""
-        if self._pending:
-            self._settle()
 
     def send(
         self,

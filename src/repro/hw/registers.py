@@ -4,9 +4,9 @@ Each Altocumulus manager tile adds:
 
 * **Migration registers (MRs)** -- an in-order file of 14 B descriptors
   (8 B pointer + 48-bit IP/port) pointing at RPC messages that live in
-  the LLC.  Bounded per Sec. V-B: near saturation E[Nq] ~ 11 per group,
-  so one 154 B file (11 entries) suffices -- but the capacity is a
-  parameter so sizing studies can sweep it.
+  the LLC.  Sec. V-B sizes the file from E[Nq] ~ 11 per group near
+  saturation (one 154 B file); the model leaves it unbounded, as the
+  MR file is memory-backed.
 * **Parameter registers (PRs)** -- Period, Bulk, Concurrency and
   threshold T, written by PREDICT_CONFIG.  No register block models
   them: the runtime reads Period, Bulk and Concurrency from its
@@ -23,7 +23,7 @@ Each Altocumulus manager tile adds:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from repro.workload.request import Request
 
@@ -41,25 +41,19 @@ class HardwareFifo:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
         self._entries: Deque[Request] = deque()
-        self.high_watermark = 0
-        self.rejected = 0
 
     def push(self, request: Request) -> bool:
         if len(self._entries) >= self.capacity:
-            self.rejected += 1
             return False
         self._entries.append(request)
-        self.high_watermark = max(self.high_watermark, len(self._entries))
         return True
 
     def push_many(self, requests: List[Request]) -> bool:
         """All-or-nothing bulk push (one MIGRATE payload)."""
         if len(self._entries) + len(requests) > self.capacity:
-            self.rejected += 1
             return False
         for r in requests:
             self._entries.append(r)
-        self.high_watermark = max(self.high_watermark, len(self._entries))
         return True
 
     def pop(self) -> Request:
@@ -88,11 +82,7 @@ class MigrationRegisterFile:
     SLO violators.
     """
 
-    def __init__(self, capacity: Optional[int] = None, entry_bytes: int = 14) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.entry_bytes = int(entry_bytes)
+    def __init__(self) -> None:
         #: Backing store.  Exposed (read-only by convention) because the
         #: dispatch loop polls queue emptiness/length once per request;
         #: going through ``len(mrs)`` costs a method call each time.
@@ -100,46 +90,16 @@ class MigrationRegisterFile:
         #: holding a reference to it stays valid for the file's lifetime.
         self.entries: Deque[Request] = deque()
         self._entries = self.entries
-        self.high_watermark = 0
 
-    def enqueue(self, request: Request) -> bool:
-        """Append at the tail; False if the file is full."""
-        if self.capacity is not None and len(self._entries) >= self.capacity:
-            return False
+    def enqueue(self, request: Request) -> None:
+        """Append at the tail."""
         self._entries.append(request)
-        self.high_watermark = max(self.high_watermark, len(self._entries))
-        return True
-
-    def enqueue_reserved(self, request: Request) -> None:
-        """Re-insert a descriptor whose slot is logically still reserved.
-
-        The paper keeps migrated descriptors valid in the source MRs
-        until the ACK arrives; our pending-buffer model removes them
-        eagerly, so a NACK restore must never fail on capacity -- the
-        slot was never really freed.
-        """
-        self._entries.append(request)
-        self.high_watermark = max(self.high_watermark, len(self._entries))
 
     def dequeue_head(self) -> Request:
         """Remove the oldest descriptor (normal dispatch path)."""
         if not self._entries:
             raise IndexError("dequeue from empty MR file")
         return self._entries.popleft()
-
-    def dequeue_tail(self, count: int) -> List[Request]:
-        """Remove up to ``count`` newest descriptors (migration path).
-
-        Returned in arrival order so the destination can re-enqueue them
-        preserving FIFO semantics among themselves.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        taken: List[Request] = []
-        for _ in range(min(count, len(self._entries))):
-            taken.append(self._entries.pop())
-        taken.reverse()
-        return taken
 
     def dequeue_tail_where(self, count: int, predicate) -> List[Request]:
         """Remove up to ``count`` newest descriptors satisfying
@@ -165,10 +125,6 @@ class MigrationRegisterFile:
         taken.reverse()
         return taken
 
-    def peek_all(self) -> List[Request]:
-        """Snapshot of queued descriptors in arrival order (read-only)."""
-        return list(self._entries)
-
     def peek_tail(self, count: int) -> List[Request]:
         """The up-to-``count`` newest descriptors (newest first)."""
         if count < 0:
@@ -180,14 +136,5 @@ class MigrationRegisterFile:
             out.append(request)
         return out
 
-    def free_slots(self) -> Optional[int]:
-        if self.capacity is None:
-            return None
-        return self.capacity - len(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def bytes_used(self) -> int:
-        return len(self._entries) * self.entry_bytes

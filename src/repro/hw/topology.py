@@ -72,25 +72,6 @@ class MeshTopology:
         path = self.route(src, dst)
         return list(zip(path, path[1:]))
 
-    def max_hops(self) -> int:
-        """Network diameter (worst-case hop count)."""
-        return (self.width - 1) + (self.height - 1)
-
-    def mean_hops(self) -> float:
-        """Average hop count over all ordered tile pairs (src != dst).
-
-        Used by latency budget estimates; O(n^2) but only ever called on
-        small meshes during configuration.
-        """
-        if self.n_tiles == 1:
-            return 0.0
-        total = 0
-        for s in range(self.n_tiles):
-            for d in range(self.n_tiles):
-                if s != d:
-                    total += self.hops(s, d)
-        return total / (self.n_tiles * (self.n_tiles - 1))
-
     def _check(self, tile: int) -> None:
         if not 0 <= tile < self.n_tiles:
             raise ValueError(f"tile {tile} out of range [0, {self.n_tiles})")

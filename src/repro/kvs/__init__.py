@@ -38,7 +38,7 @@ from repro.kvs.ownership import (
     MultiversionAccessor,
     OwnershipTable,
 )
-from repro.kvs.wiring import wire_kvs
+from repro.kvs.wiring import attach_executor, wire_kvs
 
 __all__ = [
     "CircularLog",
@@ -57,5 +57,6 @@ __all__ = [
     "KvsSpec",
     "MultiversionAccessor",
     "OwnershipTable",
+    "attach_executor",
     "wire_kvs",
 ]

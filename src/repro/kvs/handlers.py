@@ -17,9 +17,9 @@ to the actual store state.
 
 EREW penalty: each key partition is owned by one manager group.  A
 request that was migrated away from its owner group pays one extra
-remote cache access (or a QPI crossing on multi-socket layouts) to
-reach the owner's partition -- the application-level concurrency
-overhead the paper measures as a 13.6-15.4% throughput@SLO loss.
+remote cache access to reach the owner's partition -- the
+application-level concurrency overhead the paper measures as a
+13.6-15.4% throughput@SLO loss.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
-from repro.hw.memory import MemoryBandwidthModel
 from repro.kvs.dataset import Dataset
 from repro.kvs.ownership import OWNERSHIP_MODES, OwnershipTable
 from repro.sim.rng import ExactDraws
@@ -136,8 +135,6 @@ class MicaWorkload:
         mode: str = "erew",
         seed: int = 11,
         constants: HwConstants = DEFAULT_CONSTANTS,
-        groups_per_socket: Optional[int] = None,
-        memory: Optional[MemoryBandwidthModel] = None,
         ownership: Optional[OwnershipTable] = None,
         hot_key_fraction: float = 0.0,
         hot_keys: int = 16,
@@ -170,11 +167,6 @@ class MicaWorkload:
         self.mode = mode
         self.zipf_s = float(zipf_s)
         self.constants = constants
-        self.groups_per_socket = groups_per_socket
-        #: Optional shared DRAM bandwidth model: value transfers then
-        #: pay contention-dependent latency (Table I's "mem. b/w"
-        #: bottleneck becomes observable at high throughput).
-        self.memory = memory
         #: Admission gate (repro.kvs.ownership).  CRCW/d-CREW require
         #: one (created here if absent); EREW/CREW gate only when one is
         #: passed explicitly -- the legacy path stays table-free and
@@ -358,31 +350,19 @@ class MicaWorkload:
             request.app_result = len(store.scan(request.key, self.model.scan_items))
         elif request.kind is RequestKind.DELETE:
             request.app_result = store.delete(request.key)
-        penalty = admission_wait
-        if self.memory is not None and request.kind in (
-            RequestKind.GET, RequestKind.SET
-        ):
-            # The DRAM-resident value moves once per GET/SET; under
-            # aggregate bandwidth pressure this inflates.
-            penalty += self.memory.access(self.dataset.value_bytes)
         if self.mode == "crcw":
             # CRCW: every group accesses every partition directly -- no
             # ownership penalty in either direction.
-            return penalty
+            return admission_wait
         if self.mode in ("crew", "dcrew") and request.kind in (
             RequestKind.GET, RequestKind.SCAN
         ):
             # CREW/d-CREW: reads are concurrent everywhere -- no
             # ownership penalty even for migrated requests.
-            return penalty
+            return admission_wait
         if request.migrations > 0:
             # Migrated away from the EREW owner: one remote access to the
             # owner's partition.
             self.remote_accesses += 1
-            penalty = admission_wait + self.constants.coherence_msg_ns
-            if self.groups_per_socket is not None:
-                owner = store.owner_of(request.key)
-                here = request.group_id if request.group_id is not None else owner
-                if owner // self.groups_per_socket != here // self.groups_per_socket:
-                    penalty += self.constants.qpi_ns
-        return penalty
+            return admission_wait + self.constants.coherence_msg_ns
+        return admission_wait

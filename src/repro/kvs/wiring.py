@@ -53,7 +53,10 @@ def _leaves(system) -> List[Tuple[object, int]]:
     return out
 
 
-def _attach(leaf, executor: Callable) -> None:
+def attach_executor(leaf, executor: Callable) -> None:
+    """Hook a KVS ``executor`` (:meth:`MicaWorkload.execute`) into one
+    server: an Altocumulus server's ``execution_penalty``, any other
+    scheduler's ``completion_hooks``."""
     if isinstance(leaf, AltocumulusSystem):
         if leaf.execution_penalty is not None:
             raise ValueError(
@@ -124,6 +127,6 @@ def wire_kvs(system, sim, spec: KvsSpec, seed: int) -> MicaWorkload:
     )
     offset = 0
     for leaf, groups in leaves:
-        _attach(leaf, workload.executor_for(offset))
+        attach_executor(leaf, workload.executor_for(offset))
         offset += groups
     return workload

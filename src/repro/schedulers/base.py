@@ -219,10 +219,6 @@ class RpcSystem(abc.ABC):
         self.stats.scheduling_ops += 1
         self.stats.scheduling_ns += ns
 
-    def idle_cores(self) -> List[Core]:
-        """Cores with nothing running right now."""
-        return [c for c in self.cores if not c.busy]
-
     def utilization(self, elapsed_ns: float) -> float:
         """Mean core utilization over ``elapsed_ns``."""
         if elapsed_ns <= 0 or not self.cores:

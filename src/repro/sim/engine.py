@@ -17,7 +17,7 @@ Design notes
   dead entries come to dominate the heap the simulator compacts it in
   place (see :meth:`Simulator.cancel`), so pathological cancel-heavy
   workloads cannot grow the heap without bound.
-* Callbacks run synchronously inside :meth:`Simulator.step`.  A callback
+* Callbacks run synchronously inside :meth:`Simulator.run`.  A callback
   may schedule further events (including at the current time) but must not
   schedule into the past.
 
@@ -57,7 +57,7 @@ throughput:
   (:meth:`Simulator.resume`).
 * **Monomorphic run loop.**  :meth:`Simulator.run` binds the heap, the
   ``heapq`` primitives and the free list to locals and inlines the pop
-  path rather than calling :meth:`step` per event.
+  path; :meth:`Simulator.step` is a one-event run.
 """
 
 from __future__ import annotations
@@ -386,28 +386,14 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Run the next pending event, parked keys included.  Returns
-        False if nothing is pending."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
-            self._dead -= 1
-        time, seq = heap[0][:2] if heap else (_INF, _INF)
-        if self._parked and self._parked_time <= time:
-            if self._fire_parked(time, seq, _INF, 1):
-                self._advance_cut(self._parked_cut)
-                return True
-            if heap and heap[0][:2] != (time, seq):
-                return self.step()  # a parked timer resumed onto the heap
-        if not heap:
+        """Run the next pending event, parked keys included: a
+        one-event :meth:`run`.  Returns False, leaving the clock and
+        :attr:`end_cut` as they are, if nothing is pending."""
+        if not self.pending_active:
             return False
-        event = heappop(heap)[2]
-        self.now = time
-        self._events_processed += 1
-        event.fired = True
-        self._advance_cut((time, seq))
-        event.fn(*event.args)
-        return True
+        executed = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != executed
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the heap drains, the clock passes ``until``, or

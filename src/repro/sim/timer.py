@@ -1,9 +1,11 @@
 """Periodic timers built on the event heap.
 
-The Altocumulus software runtime executes every ``Period`` nanoseconds
-(Algorithm 1, line 1); baseline schedulers use timers for preemption
-quanta.  :class:`PeriodicTimer` wraps the schedule/reschedule dance and
-supports clean cancellation mid-simulation.
+:class:`PeriodicTimer` wraps the schedule/reschedule dance and supports
+clean cancellation mid-simulation.  RSS++'s indirection-table rebalance
+and fig09's NetRX sampler use it.  The Altocumulus runtime's ``Period``
+tick and the cores' preemption quanta re-arm their own events instead
+(:meth:`~repro.sim.engine.Simulator.schedule_timer`,
+:meth:`~repro.sim.engine.Simulator.rearm`).
 """
 
 from __future__ import annotations

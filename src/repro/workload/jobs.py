@@ -7,8 +7,7 @@ the flat one-request/one-core model:
   request model): a job scatters ``k`` sibling sub-requests across the
   fabric at one arrival instant and completes on the *last* response.
   Job latency is the max over siblings, so the job-level tail inflates
-  roughly by the harmonic number ``H_k`` relative to a single request
-  (see :func:`repro.core.prediction.harmonic_number`).
+  roughly by the harmonic number ``H_k`` relative to a single request.
 * **Core demand** (gang admission, per "Zero Queueing for Multi-Server
   Jobs"): a job demands ``c`` cores *simultaneously* for its span.  The
   scheduler holds it at the head of its queue until ``c`` cores are

@@ -257,8 +257,8 @@ def _engine_snapshot(case: Dict[str, Any]) -> Dict[str, Any]:
     ``run_workload``: its own generators, Poisson arrivals, no
     ``expect``, to a horizon of twice the longest member's span.  A
     ``chunk`` or ``stops`` case records the engine's and the tiles'
-    state at every cut, reading each tile's stats (which fills the
-    parked ticks in)."""
+    state at every cut, reading each tile's counters through a registry
+    snapshot (which fills the parked ticks in)."""
     sim = Simulator()
     members = case["members"] if case["shape"] == "pair" else (case,)
     built = []
@@ -279,14 +279,17 @@ def _engine_snapshot(case: Dict[str, Any]) -> Dict[str, Any]:
     cuts = []
 
     def record() -> None:
-        stats = [hw.stats for hw in system.managers]
+        snap = system.metrics.snapshot("messaging")
         cuts.append(_canonical({
             "now": sim.now,
             "end_cut": list(sim.end_cut),
             "events_processed": sim.events_processed,
             "pending": sim.pending,
             "pending_active": sim.pending_active,
-            "updates_received": [s.updates_received for s in stats],
+            "updates_received": [
+                snap[f"messaging.m{i}.updates_received"]
+                for i in range(len(system.managers))
+            ],
             "ticks": [runtime.ticks for runtime in system.runtimes],
         }))
 

@@ -298,9 +298,9 @@ class TestWorkerReassignment:
         assert len(system.local_wait[0]) == 2
         assert len(system.local_wait[1]) == 4
         # Core identity is conserved and the reverse maps track it.
-        moved = system._worker_core(1, 3)
-        assert system._group_of_core(moved.core_id) == 1
-        assert system._worker_index(moved.core_id) == 3
+        moved = system._worker_cores[1][3]
+        assert system._core_group[moved.core_id] == 1
+        assert system._core_worker[moved.core_id] == 3
         assert system.runtimes[0].n_workers == 2
         assert system.runtimes[1].n_workers == 4
         total = sum(len(occ) for occ in system.occupancy)

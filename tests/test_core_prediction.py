@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import AltocumulusConfig
 from repro.core.prediction import (
-    DEFAULT_MODELS,
     ThresholdModel,
     calibrate_threshold_model,
     erlang_c,
@@ -15,7 +15,6 @@ from repro.core.prediction import (
     expected_wait,
     first_violation_threshold,
     upper_bound_threshold,
-    variance_corrected_model,
 )
 
 
@@ -89,7 +88,7 @@ class TestThresholdModel:
         assert model.threshold(16, 12.0) == pytest.approx(2 * (0.5 * nq + 1) + 10)
 
     def test_fig7d_constants_registered(self):
-        model = DEFAULT_MODELS["fixed"]
+        model = AltocumulusConfig().threshold_model
         assert (model.a, model.c) == (1.01, 0.998)
         assert (model.b, model.d) == (0.0, 0.0)
 
@@ -101,14 +100,6 @@ class TestThresholdModel:
         assert upper_bound_threshold(64, 10.0) == 641.0
         with pytest.raises(ValueError):
             upper_bound_threshold(0, 10.0)
-
-    def test_variance_correction(self):
-        deterministic = variance_corrected_model(0.0)
-        heavy = variance_corrected_model(4.0)
-        assert deterministic.c == 0.5
-        assert heavy.c == 2.5
-        with pytest.raises(ValueError):
-            variance_corrected_model(-1.0)
 
 
 class TestCalibration:

@@ -7,7 +7,6 @@ from repro.core.scheduler import AltocumulusSystem
 from repro.workload.arrivals import DeterministicArrivals, PoissonArrivals
 from repro.workload.connections import ConnectionPool
 from repro.workload.service import Fixed
-from tests.conftest import make_request
 
 
 def make_system(sim, streams, n_groups=2, group_size=4, **kwargs):
@@ -195,16 +194,6 @@ class TestIntrospection:
     def test_netrx_lengths_shape(self, sim, streams):
         system = make_system(sim, streams, n_groups=3, group_size=4)
         assert system.netrx_lengths() == [0, 0, 0]
-
-    def test_bounded_mr_drops_overflow(self, sim, streams):
-        system = make_system(sim, streams, n_groups=2, group_size=4,
-                             mr_capacity=4, runtime_enabled=False)
-        for i in range(50):
-            system.offer(make_request(req_id=i, service_time=100_000.0))
-        system.expect(50)
-        sim.run(until=10**12)
-        assert system.stats.dropped > 0
-        assert system.stats.completed + system.stats.dropped == 50
 
     def test_shutdown_stops_ticks(self, sim, streams):
         system = make_system(sim, streams)

@@ -15,19 +15,19 @@ def system(sim, streams):
 
 class TestIndexArithmetic:
     def test_group_of_core(self, system):
-        assert system._group_of_core(0) == 0
-        assert system._group_of_core(3) == 0
-        assert system._group_of_core(4) == 1
-        assert system._group_of_core(7) == 1
+        assert system._core_group[0] == 0
+        assert system._core_group[3] == 0
+        assert system._core_group[4] == 1
+        assert system._core_group[7] == 1
 
     def test_worker_index_skips_manager(self, system):
         # Core 1 is worker 0 of group 0; core 5 is worker 0 of group 1.
-        assert system._worker_index(1) == 0
-        assert system._worker_index(3) == 2
-        assert system._worker_index(5) == 0
+        assert system._core_worker[1] == 0
+        assert system._core_worker[3] == 2
+        assert system._core_worker[5] == 0
 
     def test_worker_core_lookup(self, system):
-        core = system._worker_core(1, 2)  # group 1, worker 2
+        core = system._worker_cores[1][2]  # group 1, worker 2
         assert core.core_id == 4 + 1 + 2
 
     def test_least_occupied_prefers_lowest(self):

@@ -27,13 +27,15 @@ RETRY = RetryPolicy(timeout_ns=20_000.0, max_retries=2,
 
 
 class TestTinyHardware:
-    def test_bounded_mrs_under_migration_pressure(self, sim, streams):
-        """Tiny MR files force NACKs and drops; accounting stays exact."""
+    def test_small_recv_fifos_under_migration_pressure(self, sim, streams):
+        """Receive FIFOs smaller than a batch force NACKs; accounting
+        stays exact and no request is lost."""
+        constants = HwConstants(recv_fifo_entries=2)
         config = AltocumulusConfig(
             n_groups=2, group_size=4, bulk=8, concurrency=1,
-            offered_load=0.95, mr_capacity=6,
+            offered_load=0.95,
         )
-        system = AltocumulusSystem(sim, streams, config)
+        system = AltocumulusSystem(sim, streams, config, constants=constants)
         n = 800
         run_workload(
             system, sim, streams, PoissonArrivals(5e6), Fixed(1_000.0),
@@ -41,8 +43,15 @@ class TestTinyHardware:
             connections=ConnectionPool(1),
         )
         assert system.stats.completed + system.stats.dropped == n
-        for hw in system.managers:
+        snap = system.metrics.snapshot("messaging")
+        nacked = 0
+        for i, hw in enumerate(system.managers):
             assert hw.in_flight_descriptors == 0
+            m = f"messaging.m{i}."
+            assert snap[m + "migrates_sent"] == (
+                snap[m + "migrates_acked"] + snap[m + "migrates_nacked"])
+            nacked += snap[m + "migrates_nacked"]
+        assert nacked > 0
 
     def test_one_entry_send_fifo_backpressures_not_crashes(self, sim, streams):
         constants = HwConstants(send_fifo_entries=1, recv_fifo_entries=1)

@@ -64,9 +64,3 @@ class TestCoherence:
 
     def test_interrupt_cost(self):
         assert CoherenceModel().interrupt_ns() == 1000.0
-
-    def test_shared_cache_update_scales_with_readers(self):
-        model = CoherenceModel()
-        assert model.shared_cache_update_ns(1) < model.shared_cache_update_ns(15)
-        with pytest.raises(ValueError):
-            model.shared_cache_update_ns(-1)

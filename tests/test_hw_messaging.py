@@ -6,35 +6,43 @@ from repro.hw.constants import HwConstants
 from repro.hw.messaging import UPDATE_BYTES, ManagerTileHw
 from repro.hw.noc import Noc
 from repro.hw.topology import MeshTopology
+from repro.telemetry import MetricRegistry
 from tests.conftest import make_request
 
 
-def make_tiles(sim, n=3, mr_capacity=None, constants=None, **callbacks):
-    """Build ``n`` connected manager tiles on one NoC.
+def make_tiles(sim, n=3, constants=None, migrate_in=None):
+    """Build ``n`` connected manager tiles on one NoC, sharing one
+    metric registry.
 
-    Callbacks apply to every tile and receive (tile_index, *payload).
+    ``migrate_in`` applies to every tile and receives
+    (tile_index, requests, src).
     """
     constants = constants or HwConstants()
-    noc = Noc(sim, MeshTopology(n * 16))
+    registry = MetricRegistry()
+    noc = Noc(sim, MeshTopology(n * 16), registry=registry)
     tiles = []
     for i in range(n):
-        def bind(idx):
-            return {
-                "on_migrate_in": lambda reqs, src: callbacks.get(
-                    "migrate_in", lambda *a: None)(idx, reqs, src),
-                "on_migrate_rejected": lambda reqs, dst: callbacks.get(
-                    "rejected", lambda *a: None)(idx, reqs, dst),
-            }
+        def on_migrate_in(reqs, src, idx=i):
+            if migrate_in is not None:
+                migrate_in(idx, reqs, src)
 
         tiles.append(
             ManagerTileHw(
                 sim, noc, tile_id=i * 16, manager_index=i,
-                constants=constants, mr_capacity=mr_capacity, **bind(i)
+                constants=constants, on_migrate_in=on_migrate_in,
+                registry=registry,
             )
         )
     for t in tiles:
         t.connect(tiles)
     return tiles
+
+
+def counter(tile, name):
+    """Tile ``tile``'s ``messaging.m<i>.<name>`` counter, as a registry
+    snapshot reads it."""
+    prefix = f"messaging.m{tile.manager_index}"
+    return tile.registry.snapshot(prefix)[f"{prefix}.{name}"]
 
 
 def read_views_at(sim, tiles, time):
@@ -73,7 +81,7 @@ class TestMigrate:
         assert tiles[0].send_migrate(1, batch)
         sim.run()
         assert received == [(1, [0, 1, 2], 0)]
-        assert [r.req_id for r in tiles[1].mrs.peek_all()] == [0, 1, 2]
+        assert [r.req_id for r in tiles[1].mrs.entries] == [0, 1, 2]
 
     def test_migration_counter_incremented(self, sim):
         tiles = make_tiles(sim)
@@ -88,22 +96,21 @@ class TestMigrate:
         assert tiles[0].in_flight_descriptors == 1
         sim.run()
         assert tiles[0].in_flight_descriptors == 0
-        assert tiles[0].stats.migrates_acked == 1
-        assert tiles[0].stats.migrates_nacked == 0
+        assert counter(tiles[0], "migrates_acked") == 1
+        assert counter(tiles[0], "migrates_nacked") == 0
 
-    def test_nack_when_destination_mrs_full(self, sim):
-        rejected = []
-        tiles = make_tiles(
-            sim, mr_capacity=1,
-            rejected=lambda i, reqs, dst: rejected.append((i, len(reqs))))
-        tiles[1].mrs.enqueue(make_request(req_id=99))  # destination full
+    def test_nack_when_destination_recv_fifo_full(self, sim):
+        # A two-descriptor batch cannot fit a one-entry receive FIFO.
+        tiles = make_tiles(sim, constants=HwConstants(recv_fifo_entries=1))
+        tiles[0].mrs.enqueue(make_request(req_id=99))
         batch = [make_request(req_id=0), make_request(req_id=1)]
         tiles[0].send_migrate(1, batch)
         sim.run()
-        assert tiles[0].stats.migrates_nacked == 1
-        # Batch restored at the source, nothing lost.
-        assert [r.req_id for r in tiles[0].mrs.peek_all()] == [0, 1]
-        assert rejected == [(0, 2)]
+        assert counter(tiles[0], "migrates_nacked") == 1
+        assert tiles[0].in_flight_descriptors == 0
+        # Batch restored at the source's tail, nothing lost.
+        assert [r.req_id for r in tiles[0].mrs.entries] == [99, 0, 1]
+        assert len(tiles[1].mrs) == 0
         # The rejected requests were never migrated.
         assert all(r.migrations == 0 for r in batch)
 
@@ -112,7 +119,7 @@ class TestMigrate:
         tiles = make_tiles(sim, constants=constants)
         big_batch = [make_request(req_id=i) for i in range(3)]
         assert not tiles[0].send_migrate(1, big_batch)
-        assert tiles[0].stats.send_backpressure == 1
+        assert counter(tiles[0], "send_backpressure") == 1
 
     def test_migrate_to_self_rejected(self, sim):
         tiles = make_tiles(sim)
@@ -122,7 +129,7 @@ class TestMigrate:
     def test_empty_batch_is_noop(self, sim):
         tiles = make_tiles(sim)
         assert tiles[0].send_migrate(1, [])
-        assert tiles[0].stats.migrates_sent == 0
+        assert counter(tiles[0], "migrates_sent") == 0
 
 
 class TestUpdate:
@@ -132,10 +139,10 @@ class TestUpdate:
         views = read_views_at(sim, tiles, 1_000.0)
         sim.run()
         assert received(views) == [(0, 2, 17), (1, 2, 17), (3, 2, 17)]
-        assert tiles[2].stats.updates_sent == 3
+        assert counter(tiles[2], "updates_sent") == 3
         for i in (0, 1, 3):
-            assert tiles[i].stats.updates_received == 1
-        assert tiles[2].stats.updates_received == 0
+            assert counter(tiles[i], "updates_received") == 1
+        assert counter(tiles[2], "updates_received") == 0
 
     def test_update_does_not_echo_to_sender(self, sim):
         tiles = make_tiles(sim)
@@ -143,15 +150,15 @@ class TestUpdate:
         views = read_views_at(sim, tiles, 1_000.0)
         sim.run()
         assert 0 not in [i for i, _, _ in received(views)]
-        assert tiles[0].stats.updates_received == 0
+        assert counter(tiles[0], "updates_received") == 0
 
     def test_update_crosses_the_noc_without_a_heap_event(self, sim):
         tiles = make_tiles(sim, n=4)
         tiles[1].broadcast_update(9)
         assert sim.pending == 0
-        noc = tiles[1].noc.stats
-        assert noc.messages == 3
-        assert noc.by_vnet == {1: 3}
+        noc = tiles[1].registry.snapshot("noc")
+        assert noc["noc.messages"] == 3
+        assert noc["noc.by_vnet"] == {"1": 3}
 
     def test_latest_write_per_source_wins(self, sim):
         tiles = make_tiles(sim, n=2)
@@ -160,7 +167,7 @@ class TestUpdate:
         views = read_views_at(sim, tiles, 1_000.0)
         sim.run()
         assert received(views) == [(1, 0, 4)]
-        assert tiles[1].stats.updates_received == 2
+        assert counter(tiles[1], "updates_received") == 2
 
 
 def update_arrival(tiles, src, dst):
@@ -206,7 +213,7 @@ class TestUpdatesReceivedAtRunEnd:
         tiles[0].broadcast_update(7)
         sim.run()
         assert sim.now == arrival
-        assert tiles[1].stats.updates_received == 0
+        assert counter(tiles[1], "updates_received") == 0
 
     def test_stop_after_arrival_counts_the_send(self, sim):
         tiles = make_tiles(sim, n=2)
@@ -214,7 +221,7 @@ class TestUpdatesReceivedAtRunEnd:
         tiles[0].broadcast_update(7)
         sim.schedule_at(arrival, sim.stop)
         sim.run()
-        assert tiles[1].stats.updates_received == 1
+        assert counter(tiles[1], "updates_received") == 1
 
     def test_until_clamp_is_inclusive(self, sim):
         tiles = make_tiles(sim, n=2)
@@ -222,9 +229,9 @@ class TestUpdatesReceivedAtRunEnd:
         tiles[0].broadcast_update(7)
         sim.run(until=arrival - 0.5)
         assert sim.now == arrival - 0.5
-        assert tiles[1].stats.updates_received == 0
+        assert counter(tiles[1], "updates_received") == 0
         sim.run(until=arrival)
-        assert tiles[1].stats.updates_received == 1
+        assert counter(tiles[1], "updates_received") == 1
 
     def test_drained_run_counts_every_send_without_advancing_clock(
             self, sim):
@@ -232,7 +239,7 @@ class TestUpdatesReceivedAtRunEnd:
         tiles[0].broadcast_update(7)
         sim.run()
         assert sim.now == 0.0
-        assert [t.stats.updates_received for t in tiles] == [0, 1, 1]
+        assert [counter(t, "updates_received") for t in tiles] == [0, 1, 1]
 
     def test_counter_survives_reads(self, sim):
         tiles = make_tiles(sim, n=2)
@@ -240,9 +247,9 @@ class TestUpdatesReceivedAtRunEnd:
         read_views_at(sim, tiles, 1_000.0)
         sim.run(until=2_000.0)
         tiles[0].broadcast_update(8)  # arrives after the run's end
-        assert tiles[1].stats.updates_received == 1
+        assert counter(tiles[1], "updates_received") == 1
         sim.run(until=3_000.0)
-        assert tiles[1].stats.updates_received == 2
+        assert counter(tiles[1], "updates_received") == 2
 
 
 class TestConservation:
@@ -255,8 +262,8 @@ class TestConservation:
         tiles[0].send_migrate(1, batch_a)
         tiles[1].send_migrate(0, batch_b)
         sim.run()
-        ids_at_0 = {r.req_id for r in tiles[0].mrs.peek_all()}
-        ids_at_1 = {r.req_id for r in tiles[1].mrs.peek_all()}
+        ids_at_0 = {r.req_id for r in tiles[0].mrs.entries}
+        ids_at_1 = {r.req_id for r in tiles[1].mrs.entries}
         assert ids_at_0 == {100, 101, 102, 103, 104}
         assert ids_at_1 == {0, 1, 2, 3, 4}
 
@@ -264,12 +271,13 @@ class TestConservation:
 class TestProtocolProperties:
     def test_random_interleavings_conserve_descriptors(self, sim):
         """Property-flavoured stress: arbitrary interleavings of
-        MIGRATE traffic between three bounded tiles never lose or
-        duplicate a descriptor."""
+        MIGRATE traffic between three tiles with two-entry receive
+        FIFOs, which NACK some batches, never lose or duplicate a
+        descriptor."""
         import numpy as np
 
         rng = np.random.default_rng(7)
-        tiles = make_tiles(sim, n=3, mr_capacity=12)
+        tiles = make_tiles(sim, n=3, constants=HwConstants(recv_fifo_entries=2))
         population = []
         for i in range(24):
             r = make_request(req_id=i)
@@ -287,11 +295,12 @@ class TestProtocolProperties:
                 continue
             if not tiles[src].send_migrate(dst, batch):
                 for r in batch:
-                    tiles[src].mrs.enqueue_reserved(r)
+                    tiles[src].mrs.enqueue(r)
             if step % 7 == 0:
                 sim.run(until=sim.now + 50.0)
         sim.run(until=sim.now + 10_000.0)
-        everywhere = [r.req_id for t in tiles for r in t.mrs.peek_all()]
+        everywhere = [r.req_id for t in tiles for r in t.mrs.entries]
         assert sorted(everywhere) == [r.req_id for r in population]
         for t in tiles:
             assert t.in_flight_descriptors == 0
+        assert sum(counter(t, "migrates_nacked") for t in tiles) > 0

@@ -10,6 +10,11 @@ def make_noc(sim, **kwargs):
     return Noc(sim, MeshTopology(16), per_hop_ns=3.0, flit_ns=1.0, **kwargs)
 
 
+def counters(noc):
+    """The NoC's ``noc.*`` instruments, as a registry snapshot reads them."""
+    return noc.registry.snapshot("noc")
+
+
 class TestLatency:
     def test_single_flit_latency(self, sim):
         noc = make_noc(sim)
@@ -66,10 +71,11 @@ class TestDelivery:
         noc.send(NocMessage(src=0, dst=2, payload=None, size_bytes=8, vnet=1),
                  lambda m: None)
         sim.run()
-        assert noc.stats.messages == 2
-        assert noc.stats.bytes == 16
-        assert noc.stats.by_vnet[1] == 2
-        assert noc.stats.mean_latency_ns > 0
+        snap = counters(noc)
+        assert snap["noc.messages"] == 2
+        assert snap["noc.bytes"] == 16
+        assert snap["noc.by_vnet"] == {"1": 2}
+        assert snap["noc.latency_ns_total"] > 0
 
 
 class TestTransmit:
@@ -92,10 +98,11 @@ class TestTransmit:
                  lambda m: arrived.append(sim.now))
         sim.run()
         assert arrived == [first + 1.0]  # queued behind the transmit
-        assert noc.stats.messages == 2
-        assert noc.stats.bytes == 16
-        assert noc.stats.by_vnet == {1: 2}
-        assert noc.stats.total_latency_ns == 4.0 + 5.0
+        snap = counters(noc)
+        assert snap["noc.messages"] == 2
+        assert snap["noc.bytes"] == 16
+        assert snap["noc.by_vnet"] == {"1": 2}
+        assert snap["noc.latency_ns_total"] == 4.0 + 5.0
 
     def test_transmit_under_link_contention(self, sim):
         noc = make_noc(sim, endpoint_serialization=False,
@@ -125,19 +132,20 @@ class TestTransmit:
             else:
                 arrivals = [noc.transmit(0, d, 40, 1, hop_ns, flit_time)
                             for d, hop_ns, flit_time in wires]
-            stats = noc.stats
+            snap = counters(noc)
             results.append((arrivals, dict(noc._ejection_free),
-                            dict(noc._link_free), stats.messages,
-                            stats.bytes, stats.total_latency_ns,
-                            dict(stats.by_vnet)))
+                            dict(noc._link_free), snap["noc.messages"],
+                            snap["noc.bytes"], snap["noc.latency_ns_total"],
+                            snap["noc.by_vnet"]))
         assert results[0] == results[1]
         assert results[1][3:5] == (5, 200)
 
     def test_empty_batch_accounts_nothing(self, sim):
         noc = make_noc(sim)
         assert noc.transmit_many(0, [], 8, 1) == []
-        assert noc.stats.by_vnet == {}
-        assert noc.stats.messages == 0
+        snap = counters(noc)
+        assert snap["noc.by_vnet"] == {}
+        assert snap["noc.messages"] == 0
 
 
 class TestLinkContention:

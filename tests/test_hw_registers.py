@@ -21,7 +21,6 @@ class TestHardwareFifo:
         assert fifo.push(make_request(req_id=0))
         assert fifo.push(make_request(req_id=1))
         assert not fifo.push(make_request(req_id=2))
-        assert fifo.rejected == 1
 
     def test_push_many_all_or_nothing(self):
         fifo = HardwareFifo(3)
@@ -35,13 +34,6 @@ class TestHardwareFifo:
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             HardwareFifo(1).pop()
-
-    def test_high_watermark(self):
-        fifo = HardwareFifo(4)
-        for i in range(3):
-            fifo.push(make_request(req_id=i))
-        fifo.pop()
-        assert fifo.high_watermark == 3
 
     def test_free_slots_and_full(self):
         fifo = HardwareFifo(2)
@@ -68,33 +60,16 @@ class TestMigrationRegisterFile:
         mrs = MigrationRegisterFile()
         for i in range(5):
             mrs.enqueue(make_request(req_id=i))
-        taken = mrs.dequeue_tail(2)
+        taken = mrs.dequeue_tail_where(2, lambda r: True)
         # Newest two, returned in arrival order.
         assert [r.req_id for r in taken] == [3, 4]
-        assert [r.req_id for r in mrs.peek_all()] == [0, 1, 2]
+        assert [r.req_id for r in mrs.entries] == [0, 1, 2]
 
     def test_tail_migration_clamps_to_size(self):
         mrs = MigrationRegisterFile()
         mrs.enqueue(make_request(req_id=0))
-        assert [r.req_id for r in mrs.dequeue_tail(5)] == [0]
+        assert [r.req_id for r in mrs.dequeue_tail_where(5, lambda r: True)] == [0]
         assert len(mrs) == 0
-
-    def test_bounded_capacity_rejects_overflow(self):
-        mrs = MigrationRegisterFile(capacity=2)
-        assert mrs.enqueue(make_request(req_id=0))
-        assert mrs.enqueue(make_request(req_id=1))
-        assert not mrs.enqueue(make_request(req_id=2))
-        assert mrs.free_slots() == 0
-
-    def test_unbounded_free_slots_is_none(self):
-        assert MigrationRegisterFile().free_slots() is None
-
-    def test_bytes_used_at_14_per_entry(self):
-        mrs = MigrationRegisterFile()
-        for i in range(11):
-            mrs.enqueue(make_request(req_id=i))
-        # The paper's sizing: 11 entries x 14 B = 154 B per group.
-        assert mrs.bytes_used == 154
 
     def test_dequeue_tail_where_skips_ineligible(self):
         mrs = MigrationRegisterFile()
@@ -105,7 +80,7 @@ class TestMigrationRegisterFile:
         taken = mrs.dequeue_tail_where(2, lambda r: r.migrations == 0)
         assert [r.req_id for r in taken] == [1, 2]
         # Ineligible ones stay in place, order preserved.
-        assert [r.req_id for r in mrs.peek_all()] == [0, 3, 4]
+        assert [r.req_id for r in mrs.entries] == [0, 3, 4]
 
     def test_peek_tail(self):
         mrs = MigrationRegisterFile()
@@ -146,5 +121,5 @@ def test_mr_file_model_based(ops):
             take = min(arg, len(model))
             expected = model[len(model) - take:]
             del model[len(model) - take:]
-            assert mrs.dequeue_tail(arg) == expected
-        assert [r.req_id for r in mrs.peek_all()] == [r.req_id for r in model]
+            assert mrs.dequeue_tail_where(arg, lambda r: True) == expected
+        assert [r.req_id for r in mrs.entries] == [r.req_id for r in model]

@@ -50,6 +50,12 @@ def test_golden_covers_every_case(golden):
 PERIOD = 200.0
 
 
+def _counter(system, group, name):
+    """Group ``group``'s ``messaging.m<group>.<name>`` counter, as a
+    registry snapshot (which fills the parked ticks in) reads it."""
+    return system.metrics.snapshot("messaging")[f"messaging.m{group}.{name}"]
+
+
 def _two_groups():
     """Two 1-worker groups, hardware dispatch, MIGRATEs of 2 descriptors."""
     sim = Simulator()
@@ -79,17 +85,17 @@ class TestOptimisticBump:
         # (line 8 rejects a second: 2 - 2 < 0 + 2).
         mrs = system.managers[sender].mrs
         for req_id in range(4):
-            assert mrs.enqueue(make_request(req_id, arrival=sim.now))
+            mrs.enqueue(make_request(req_id, arrival=sim.now))
         view = system.runtimes[sender].q_view
         sim.run(until=10 * PERIOD)
-        assert system.managers[sender].stats.migrates_sent == 1
+        assert _counter(system, sender, "migrates_sent") == 1
         assert view[target] == 2  # the optimistic bump
         # The target drains the batch into its worker within the period.
         sim.run(until=11 * PERIOD - 1.0)
-        assert system.managers[target].stats.descriptors_accepted == 2
+        assert _counter(system, target, "descriptors_accepted") == 2
         assert len(system.managers[target].mrs) == 0
         sim.run(until=11 * PERIOD)
-        assert system.managers[sender].stats.migrates_sent == 1
+        assert _counter(system, sender, "migrates_sent") == 1
         assert view[target] == 0
 
     def test_idle_groups_read_every_update(self):
@@ -99,12 +105,11 @@ class TestOptimisticBump:
         sim.run(until=10 * PERIOD)
         # Fill the parked ticks in, as any read of the counters does.
         system.fill_in_parked()
-        for hw in system.managers:
+        for group, hw in enumerate(system.managers):
             # Only the copy still in flight is unread.
             assert [len(inbox) for inbox in hw._inboxes.values()] == [1]
-            stats = hw.stats
-            assert stats.updates_sent == 10
-            assert stats.updates_received == 9
+            assert _counter(system, group, "updates_sent") == 10
+            assert _counter(system, group, "updates_received") == 9
         assert [rt.ticks for rt in system.runtimes] == [10, 10]
 
 
@@ -117,11 +122,11 @@ class TestOptimisticBump:
         sim.run(until=10 * PERIOD - 1.0)
         mrs = system.managers[1].mrs
         for req_id in range(4):
-            assert mrs.enqueue(make_request(req_id, arrival=sim.now))
+            mrs.enqueue(make_request(req_id, arrival=sim.now))
         sim.run(until=10 * PERIOD)
         # Group 0's tick at 10 * PERIOD parked before group 1's ran.
         assert system.runtimes[0].parked
-        assert system.managers[1].stats.migrates_sent == 1
+        assert _counter(system, 1, "migrates_sent") == 1
         view = system.runtimes[1].q_view
         assert view[0] == 2
         inbox = system.managers[1]._inboxes[0]
@@ -156,9 +161,9 @@ def test_live_message_inside_a_parked_ejection_window():
     update_arrival = 3 * PERIOD + hop_ns + flit_time
     assert arrivals == [update_arrival + flit_time]
     # Six parked UPDATEs (one flight each) and the delayed message.
-    stats = noc.stats
-    assert stats.messages == 7
-    assert stats.total_latency_ns == 6 * (hop_ns + flit_time) + (
+    snap = system.metrics.snapshot("noc")
+    assert snap["noc.messages"] == 7
+    assert snap["noc.latency_ns_total"] == 6 * (hop_ns + flit_time) + (
         hop_ns + 2 * flit_time
     )
 
@@ -204,27 +209,28 @@ def test_full_tick_reads_parked_update_landing_at_its_time():
     sim.run(until=3 * cadence - 1.0)
     busy = system.managers[0].mrs
     for req_id in range(3):
-        assert busy.enqueue(make_request(req_id, arrival=sim.now))
+        busy.enqueue(make_request(req_id, arrival=sim.now))
     sim.run(until=3 * cadence)
     busy.entries.clear()  # group 0 parks from its next tick on
     sim.run(until=5 * cadence - 1.0)
     mrs = system.managers[1].mrs
     for req_id in range(3, 7):
-        assert mrs.enqueue(make_request(req_id, arrival=sim.now))
+        mrs.enqueue(make_request(req_id, arrival=sim.now))
     sim.run(until=5 * cadence)
-    assert system.managers[1].stats.migrates_sent == 1
+    assert _counter(system, 1, "migrates_sent") == 1
 
 
 @pytest.mark.parametrize("reader", ["noc", "tile"])
 def test_counters_read_after_parked_ticks(reader):
-    """The NoC's and each tile's stats include the parked ticks'
-    UPDATEs without a registry snapshot."""
+    """The NoC's and each tile's counters include the parked ticks'
+    UPDATEs when a snapshot reads only their namespace."""
     sim, system = _two_groups()
     sim.run(until=10 * PERIOD)
     if reader == "noc":
-        assert system.noc.stats.messages == 20
+        assert system.metrics.snapshot("noc")["noc.messages"] == 20
     else:
-        assert [hw.stats.updates_sent for hw in system.managers] == [10, 10]
+        assert [_counter(system, group, "updates_sent")
+                for group in range(2)] == [10, 10]
 
 
 def test_traced_ticks_do_not_park():
@@ -246,7 +252,7 @@ def test_landed_zero_update_supersedes_an_older_unread_write():
     sim.run(until=3 * PERIOD - 1.0)
     busy = system.managers[1].mrs
     for req_id in range(3):
-        assert busy.enqueue(make_request(req_id, arrival=sim.now))
+        busy.enqueue(make_request(req_id, arrival=sim.now))
     sim.run(until=3 * PERIOD)
     busy.entries.clear()  # group 1 parks from its next tick on
     sim.run(until=4 * PERIOD + PERIOD / 2)
@@ -267,7 +273,7 @@ def test_parked_reader_registers_stay_shallow():
     ))
     busy = system.managers[1].mrs
     for req_id in range(8):
-        assert busy.enqueue(make_request(req_id))
+        busy.enqueue(make_request(req_id))
     deepest = []
 
     def watch():
@@ -276,7 +282,7 @@ def test_parked_reader_registers_stay_shallow():
 
     sim.schedule(PERIOD / 2, watch)
     sim.run(until=200 * PERIOD)
-    assert system.managers[1].stats.migrates_sent == 0
+    assert _counter(system, 1, "migrates_sent") == 0
     assert system.runtimes[1].ticks == 200 and system.runtimes[0].parked
     assert max(deepest) <= 1
 

@@ -1,14 +1,11 @@
 """Unit and integration tests for job-structured requests: degree
 distributions, job shapes, job-shaped load generation and gathering, gang
-admission with shadows, sibling steering policies, and the
-fan-out-corrected latency estimator.
+admission with shadows and sibling steering policies.
 
 The compilation contract (trivial shapes are bit-identical to the flat
 Request path) is pinned here at the run level; the repo-wide golden
 fingerprints in test_determinism.py pin it globally.
 """
-
-import math
 
 import pytest
 
@@ -18,14 +15,6 @@ from repro.cluster.policies import (
     SpreadJobSteering,
     StickyJobSteering,
     make_policy,
-)
-from repro.core.prediction import (
-    FanoutCorrectedModel,
-    ThresholdModel,
-    expected_job_latency,
-    expected_wait,
-    fanout_corrected_model,
-    harmonic_number,
 )
 from repro.schedulers.jbsq import ideal_cfcfs
 from repro.sim.rng import RandomStreams
@@ -501,65 +490,6 @@ class TestJobSteering:
         # Flat traffic: repeatable per-connection pick.
         assert sticky.pick_server(req) == sticky.pick_server(req)
         assert spread.pick_server(req) == spread.pick_server(req)
-
-
-# ----------------------------------------------------------------------
-# Fan-out-corrected prediction
-# ----------------------------------------------------------------------
-class TestFanoutPrediction:
-    def test_harmonic_numbers(self):
-        assert harmonic_number(1) == 1.0
-        assert harmonic_number(2) == pytest.approx(1.5)
-        assert harmonic_number(4) == pytest.approx(25.0 / 12.0)
-        with pytest.raises(ValueError):
-            harmonic_number(0)
-
-    def test_fanout_one_is_the_base_model(self):
-        base = ThresholdModel(a=2.0, b=1.0, c=1.5, d=0.5, name="cal")
-        corrected = fanout_corrected_model(base, 1)
-        for load in (4.0, 12.0):
-            assert corrected.threshold(16, load) == pytest.approx(
-                base.threshold(16, load))
-
-    def test_fanout_shrinks_threshold_by_harmonic_number(self):
-        base = ThresholdModel(a=2.0, b=1.0, name="cal")
-        corrected = fanout_corrected_model(base, 4)
-        assert corrected.name == "cal+fanout4"
-        assert corrected.threshold(16, 12.0) == pytest.approx(
-            base.threshold(16, 12.0) / harmonic_number(4))
-
-    def test_overload_passes_infinity_through(self):
-        corrected = fanout_corrected_model(ThresholdModel(), 8)
-        assert math.isinf(corrected.threshold(4, 4.0))  # rho >= 1
-
-    def test_expected_job_latency_inflates_with_fanout(self):
-        base = expected_wait(16, 12.0, 1000.0) + 1000.0
-        assert expected_job_latency(16, 12.0, 1000.0, 1) == pytest.approx(base)
-        lat = [expected_job_latency(16, 12.0, 1000.0, k) for k in (1, 2, 4, 8)]
-        assert lat == sorted(lat) and lat[0] < lat[-1]
-        assert lat[3] == pytest.approx(harmonic_number(8) * base)
-
-    def test_fanout_validation(self):
-        with pytest.raises(ValueError):
-            fanout_corrected_model(ThresholdModel(), 0)
-        with pytest.raises(ValueError):
-            expected_job_latency(16, 4.0, 1000.0, 0)
-
-    def test_corrected_model_plugs_into_scheduler_seam(self, sim, streams):
-        from repro.core.config import AltocumulusConfig
-        from repro.core.scheduler import AltocumulusSystem
-
-        config = AltocumulusConfig(
-            n_groups=2, group_size=4,
-            threshold_model=fanout_corrected_model(ThresholdModel(), 4),
-        )
-        system = AltocumulusSystem(sim, streams, config)
-        result = run_workload(
-            system, sim, streams, PoissonArrivals(2e6), Fixed(1000.0),
-            n_requests=200, warmup_fraction=0.0,
-            jobs=JobShape(fanout=FixedDegree(4)),
-        )
-        assert result.jobs.completed == result.jobs.count == 200
 
 
 # ----------------------------------------------------------------------

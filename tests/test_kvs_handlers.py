@@ -207,17 +207,6 @@ class TestExecution:
         assert penalty == HwConstants().coherence_msg_ns
         assert workload.remote_accesses == 1
 
-    def test_cross_socket_penalty_adds_qpi(self, dataset):
-        workload = make_workload(dataset, groups_per_socket=1)
-        r = make_request()
-        workload.request_factory(r)
-        r.migrations = 1
-        owner = dataset.store.owner_of(r.key)
-        r.group_id = (owner + 1) % 4  # executed on a different socket
-        penalty = workload.execute(r)
-        constants = HwConstants()
-        assert penalty == constants.coherence_msg_ns + constants.qpi_ns
-
     def test_get_returns_value(self, dataset):
         workload = make_workload(dataset, get_fraction=1.0, scan_fraction=0.0)
         r = make_request()
@@ -313,35 +302,3 @@ class TestDelete:
     def test_fraction_overflow_rejected(self, dataset):
         with pytest.raises(ValueError):
             make_workload(dataset, scan_fraction=0.6, delete_fraction=0.6)
-
-
-class TestMemoryBandwidth:
-    def test_memory_model_charges_value_transfers(self, dataset):
-        from repro.hw.memory import MemoryBandwidthModel
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        memory = MemoryBandwidthModel(sim)
-        workload = make_workload(dataset, scan_fraction=0.0,
-                                 get_fraction=1.0, memory=memory)
-        r = make_request()
-        workload.request_factory(r)
-        penalty = workload.execute(r)
-        assert penalty >= memory.idle_latency_ns
-        assert memory.accesses == 1
-
-    def test_contention_grows_penalty(self, dataset):
-        from repro.hw.memory import MemoryBandwidthModel
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        memory = MemoryBandwidthModel(sim, bandwidth_bytes_per_ns=1.0,
-                                      window_ns=10_000.0)
-        workload = make_workload(dataset, scan_fraction=0.0,
-                                 get_fraction=1.0, memory=memory)
-        penalties = []
-        for i in range(12):
-            r = make_request(req_id=i)
-            workload.request_factory(r)
-            penalties.append(workload.execute(r))
-        assert penalties[-1] > penalties[0]

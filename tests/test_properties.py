@@ -86,10 +86,12 @@ def test_altocumulus_invariants(n_groups, group_size, bulk, concurrency,
             assert r.no_migration_eta is not None
     # Hardware protocol balanced: every sent descriptor was acked,
     # nacked, or is no longer in flight (run drained).
-    for hw in system.managers:
+    snap = system.metrics.snapshot("messaging")
+    for group, hw in enumerate(system.managers):
         assert hw.in_flight_descriptors == 0
-        assert hw.stats.migrates_acked + hw.stats.migrates_nacked == (
-            hw.stats.migrates_sent
+        m = f"messaging.m{group}."
+        assert snap[m + "migrates_acked"] + snap[m + "migrates_nacked"] == (
+            snap[m + "migrates_sent"]
         )
 
 

@@ -42,13 +42,6 @@ class TestLifecycle:
         sim.run(until=10**9)
         assert calls == [("a", 7), ("b", 7)]
 
-    def test_idle_cores_listing(self, sim, streams):
-        system = RssSystem(sim, streams, 3)
-        assert len(system.idle_cores()) == 3
-        system.offer(make_request(service_time=10_000.0))
-        sim.run(until=100.0)
-        assert len(system.idle_cores()) == 2
-
     def test_utilization_bounds(self, sim, streams):
         system = RssSystem(sim, streams, 2)
         assert system.utilization(0.0) == 0.0

@@ -152,6 +152,15 @@ class TestRunControl:
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
 
+    def test_step_with_nothing_pending_leaves_clock_and_cut(self, sim):
+        sim.schedule(10.0, lambda: None)
+        sim.run(until=50.0)
+        sim.cancel(sim.schedule(5.0, lambda: None))  # dead, not pending
+        cut = sim.end_cut
+        assert sim.step() is False
+        assert sim.now == 50.0
+        assert sim.end_cut == cut
+
     def test_step_executes_single_event(self, sim):
         hits = []
         sim.schedule(1.0, hits.append, 1)

@@ -1,11 +1,10 @@
 """Hardware-layer telemetry accounting, hand-computed on a 2x2 mesh.
 
-Satellite regression for the registry refactor: the NoC and messaging
-tiles now account into registry-owned instruments, and their ``stats``
-snapshots must agree with both the hand-computed ground truth and the
-registry's own snapshot.
+The NoC and messaging tiles account into registry-owned instruments;
+the registry's snapshot must agree with the hand-computed ground truth.
 """
 
+from repro.hw.constants import HwConstants
 from repro.hw.messaging import ACK_BYTES, MIGRATE_HEADER_BYTES, ManagerTileHw
 from repro.hw.noc import Noc, NocMessage
 from repro.hw.topology import MeshTopology
@@ -41,12 +40,6 @@ class TestNocAccounting:
         assert snap["noc.bytes"] == 48
         assert snap["noc.latency_ns_total"] == 12.0
         assert snap["noc.by_vnet"] == {"0": 1, "1": 1}
-
-        stats = noc.stats
-        assert stats.messages == snap["noc.messages"]
-        assert stats.bytes == snap["noc.bytes"]
-        assert stats.total_latency_ns == snap["noc.latency_ns_total"]
-        assert stats.mean_latency_ns == 6.0
 
     def test_endpoint_serialization_charged_to_latency(self, sim):
         registry = MetricRegistry()
@@ -96,24 +89,19 @@ class TestMessagingAccounting:
         )
         assert snap["noc.bytes"] == expected_bytes
 
-        stats = tiles[0].stats
-        assert stats.migrates_sent == snap["messaging.m0.migrates_sent"]
-        assert stats.descriptors_sent == snap["messaging.m0.descriptors_sent"]
-        assert stats.migrates_acked == snap["messaging.m0.migrates_acked"]
-        assert tiles[1].stats.descriptors_accepted == 3
-
     def test_nack_counted_on_sender(self, sim):
         registry = MetricRegistry()
         noc = Noc(sim, MeshTopology(4), registry=registry)
         tiles = [
             ManagerTileHw(sim, noc, tile_id=t, manager_index=i,
-                          mr_capacity=1, registry=registry)
+                          constants=HwConstants(recv_fifo_entries=1),
+                          registry=registry)
             for i, t in enumerate((0, 3))
         ]
         for tile in tiles:
             tile.connect(tiles)
         batch = [make_request(req_id=i) for i in range(2)]
-        assert tiles[0].send_migrate(1, batch)  # 2 > receiver capacity 1
+        assert tiles[0].send_migrate(1, batch)  # 2 > receiver FIFO's 1
         sim.run()
         snap = registry.snapshot()
         assert snap["messaging.m0.migrates_nacked"] == 1

@@ -9,13 +9,16 @@ REPO = Path(__file__).parent.parent
 SCRIPT = REPO / "tools" / "compare_bench.py"
 
 
-def _bench_json(path, mins):
-    path.write_text(json.dumps({
+def _bench_json(path, mins, cpus=None):
+    doc = {
         "benchmarks": [
             {"name": name, "stats": {"min": value}}
             for name, value in mins.items()
         ]
-    }))
+    }
+    if cpus is not None:
+        doc["machine_info"] = {"cpu": {"count": cpus}}
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -79,3 +82,13 @@ class TestGate:
                            {"bench_a": 1.0, "bench_b": 9.0})
         proc = _run(base, cand, "--benchmarks", "bench_a")
         assert proc.returncode == 0, proc.stderr
+
+    def test_different_cpu_counts_are_an_error(self, tmp_path):
+        base = _bench_json(tmp_path / "base.json", {"bench_a": 1.0}, cpus=2)
+        cand = _bench_json(tmp_path / "cand.json", {"bench_a": 1.0}, cpus=4)
+        proc = _run(base, cand)
+        assert proc.returncode == 2
+        assert "2 CPUs" in proc.stderr and "4" in proc.stderr
+        assert "nothing was gated" in proc.stderr
+        same = _bench_json(tmp_path / "same.json", {"bench_a": 1.0}, cpus=2)
+        assert _run(base, same).returncode == 0

@@ -13,7 +13,9 @@ microbenchmark produces -- the fastest observed run bounds the true cost
 from above on both sides.  Exits 1 if any compared benchmark regressed
 by more than ``--threshold`` (relative), which is how CI and ``make
 bench-gate`` enforce the <=2% telemetry-overhead budget on the gated
-microbenchmarks.
+microbenchmarks.  Exits 2 without comparing when the two files were
+recorded on hosts with different CPU counts (``machine_info.cpu.count``):
+their timings do not measure the same thing.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ def load_mins(path: str) -> Dict[str, float]:
     with open(path) as handle:
         doc = json.load(handle)
     return {b["name"]: float(b["stats"]["min"]) for b in doc["benchmarks"]}
+
+
+def cpu_count(path: str) -> Optional[int]:
+    """The recording host's ``machine_info.cpu.count`` (None if absent)."""
+    with open(path) as handle:
+        doc = json.load(handle)
+    return doc.get("machine_info", {}).get("cpu", {}).get("count")
 
 
 def compare(
@@ -87,6 +96,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     only = args.benchmarks.split(",") if args.benchmarks else None
+    baseline_cpus = cpu_count(args.baseline)
+    candidate_cpus = cpu_count(args.candidate)
+    if baseline_cpus != candidate_cpus:
+        print(
+            f"error: the baseline was recorded on {baseline_cpus} CPUs and "
+            f"the candidate on {candidate_cpus}; nothing was gated",
+            file=sys.stderr,
+        )
+        return 2
     try:
         failures = compare(
             load_mins(args.baseline), load_mins(args.candidate),
