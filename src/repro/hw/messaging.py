@@ -200,11 +200,9 @@ class ManagerTileHw:
             raise ValueError("cannot migrate to self")
         if not requests:
             return True
-        if self.send_fifo.free_slots() < len(requests):
+        if not self.send_fifo.push_many(requests):
             self._m_send_backpressure.value += 1
             return False
-        for r in requests:
-            self.send_fifo.push(r)
         migrate_id = self._next_migrate_id
         self._next_migrate_id += 1
         self._pending_acks[migrate_id] = list(requests)

@@ -35,13 +35,15 @@ class TestHardwareFifo:
         with pytest.raises(IndexError):
             HardwareFifo(1).pop()
 
-    def test_free_slots_and_full(self):
-        fifo = HardwareFifo(2)
-        assert fifo.free_slots() == 2
-        fifo.push(make_request())
-        fifo.push(make_request(req_id=1))
-        assert fifo.full
-        assert fifo.free_slots() == 0
+    def test_push_many_fills_to_capacity_then_refuses(self):
+        fifo = HardwareFifo(3)
+        assert fifo.push_many([])  # an empty payload always fits
+        batch = [make_request(req_id=i) for i in range(3)]
+        assert fifo.push_many(batch)  # exactly the capacity
+        assert not fifo.push_many([make_request(req_id=3)])
+        assert not fifo.push(make_request(req_id=4))
+        assert [fifo.pop().req_id for _ in range(3)] == [0, 1, 2]
+        assert len(fifo) == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
