@@ -33,7 +33,6 @@ from repro.kvs.handlers import MicaServiceModel, MicaWorkload
 from repro.kvs.ownership import (
     MIX_PRESETS,
     OWNERSHIP_MODES,
-    Admission,
     KvsSpec,
     MultiversionAccessor,
     OwnershipTable,
@@ -53,7 +52,6 @@ __all__ = [
     "MicaWorkload",
     "OWNERSHIP_MODES",
     "MIX_PRESETS",
-    "Admission",
     "KvsSpec",
     "MultiversionAccessor",
     "OwnershipTable",

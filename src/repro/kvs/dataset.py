@@ -10,7 +10,7 @@ the full-size figure is a parameter away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -40,15 +40,32 @@ class Dataset:
         """Draw a key: uniform by default, Zipf-skewed when ``zipf_s > 0``
         (hot-key popularity typical of KVS traffic).  ``rng`` is a numpy
         ``Generator`` or its pure-Python scalar reader."""
-        n = len(self.keys)
+        return self.sampler(rng, zipf_s)()
+
+    def sampler(
+        self, rng: Union[np.random.Generator, ExactDraws], zipf_s: float = 0.0
+    ) -> Callable[[], bytes]:
+        """:meth:`sample_key` with ``rng`` and ``zipf_s`` bound: each call
+        draws one key, exactly as ``sample_key(rng, zipf_s)`` would."""
+        keys = self.keys
+        n = len(keys)
+        last = n - 1
         if zipf_s <= 0:
-            return self.keys[rng.integers(0, n)]
+            integers = rng.integers
+            return lambda: keys[integers(0, n)]
         # Bounded-Zipf via rejection-free inverse-CDF approximation.
-        u = rng.random()
-        rank = int(n * u ** (1.0 / (1.0 - zipf_s))) if zipf_s < 1.0 else int(
-            min(n - 1, (n**u - 1))
-        )
-        return self.keys[min(rank, n - 1)]
+        random = rng.random
+        if zipf_s < 1.0:
+            exponent = 1.0 / (1.0 - zipf_s)
+
+            def draw() -> bytes:
+                rank = int(n * random() ** exponent)
+                return keys[rank if rank < n else last]
+        else:
+            def draw() -> bytes:
+                x = n ** random() - 1
+                return keys[int(x) if x < last else last]
+        return draw
 
 
 def make_key(i: int) -> bytes:

@@ -38,30 +38,33 @@ class HashIndex:
         self._bucket_memo: Dict[bytes, Dict[bytes, int]] = {}
 
     # ------------------------------------------------------------------
-    def _bucket_of(self, key: bytes) -> Dict[bytes, int]:
+    def put(self, key: bytes, offset: int, digest: Optional[int] = None) -> None:
+        """Insert or update the index entry for ``key``.  ``digest`` is
+        the key's :func:`key_hash` when the caller has it already (a new
+        key is hashed once, not once per layer)."""
+        key = bytes(key)
         bucket = self._bucket_memo.get(key)
         if bucket is None:
-            bucket = self._buckets[key_hash(key) % self.n_buckets]
-        return bucket
-
-    def put(self, key: bytes, offset: int) -> None:
-        """Insert or update the index entry for ``key``."""
-        key = bytes(key)
-        bucket = self._bucket_of(key)
+            if digest is None:
+                digest = key_hash(key)
+            bucket = self._buckets[digest % self.n_buckets]
         if key not in bucket:
             self.entries += 1
             self._bucket_memo[key] = bucket
         bucket[key] = offset
 
     def get(self, key: bytes) -> Optional[int]:
-        """Resolve a key to its latest log offset (None on miss)."""
-        return self._bucket_of(bytes(key)).get(bytes(key))
+        """Resolve a key to its latest log offset (None on miss).  A key
+        never put is in no bucket, so a memo miss needs no hash."""
+        key = bytes(key)
+        bucket = self._bucket_memo.get(key)
+        return None if bucket is None else bucket.get(key)
 
     def delete(self, key: bytes) -> bool:
         """Remove an entry; True if it existed."""
         key = bytes(key)
-        bucket = self._bucket_of(key)
-        if key in bucket:
+        bucket = self._bucket_memo.get(key)
+        if bucket is not None and key in bucket:
             del bucket[key]
             self.entries -= 1
             return True
@@ -71,7 +74,11 @@ class HashIndex:
     def bucket_load(self, key: bytes) -> int:
         """Chain length of the bucket holding ``key`` (collision probe
         depth; feeds the service-time model's per-probe cost)."""
-        return len(self._bucket_of(bytes(key)))
+        key = bytes(key)
+        bucket = self._bucket_memo.get(key)
+        if bucket is None:
+            bucket = self._buckets[key_hash(key) % self.n_buckets]
+        return len(bucket)
 
     def scan(self, start_key: bytes, count: int) -> Iterator[Tuple[bytes, int]]:
         """Yield up to ``count`` (key, offset) pairs starting at the

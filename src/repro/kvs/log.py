@@ -56,16 +56,17 @@ class CircularLog:
     def append(self, key: bytes, value: bytes) -> LogRecord:
         """Write a record at the head, evicting old records as needed."""
         record = LogRecord(offset=self._head, key=bytes(key), value=bytes(value))
-        if record.size > self.capacity_bytes:
+        size = record.size
+        if size > self.capacity_bytes:
             raise ValueError(
-                f"record of {record.size}B exceeds log capacity "
+                f"record of {size}B exceeds log capacity "
                 f"{self.capacity_bytes}B"
             )
-        while self._live_bytes + record.size > self.capacity_bytes:
+        while self._live_bytes + size > self.capacity_bytes:
             self._evict_oldest()
         self._records[record.offset] = record
-        self._head += record.size
-        self._live_bytes += record.size
+        self._head += size
+        self._live_bytes += size
         self.appends += 1
         return record
 

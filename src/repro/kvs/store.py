@@ -77,24 +77,25 @@ class MicaPartition:
     def get(self, key: bytes) -> Optional[bytes]:
         """Point lookup; None on miss (absent or evicted)."""
         self._m_gets.value += 1
+        key = bytes(key)
         offset = self.index.get(key)
-        if offset is None:
-            self._m_misses.value += 1
-            return None
-        record = self.log.read(offset)
-        if record is None or record.key != bytes(key):
+        if offset is not None:
+            record = self.log.read(offset)
+            if record is not None and record.key == key:
+                self._m_hits.value += 1
+                return record.value
             # Dangling index entry: the log wrapped past it.
             self.index.delete(key)
-            self._m_misses.value += 1
-            return None
-        self._m_hits.value += 1
-        return record.value
+        self._m_misses.value += 1
+        return None
 
-    def set(self, key: bytes, value: bytes) -> None:
-        """Upsert: append to the log, repoint the index."""
+    def set(self, key: bytes, value: bytes,
+            digest: Optional[int] = None) -> None:
+        """Upsert: append to the log, repoint the index.  ``digest`` is
+        the key's :func:`key_hash` when the caller has it already."""
         self._m_sets.value += 1
         record = self.log.append(key, value)
-        self.index.put(key, record.offset)
+        self.index.put(key, record.offset, digest)
 
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         """Range-style walk returning up to ``count`` live pairs."""
@@ -137,16 +138,17 @@ class MicaStore:
             )
             for i in range(n_partitions)
         ]
-        #: key -> owner partition, for every key ever set: ``key_hash``
-        #: is a SHA-1 per call, and a dataset's keys are all set while it
-        #: is populated, so every later lookup of them hits.
-        self._owners: Dict[bytes, int] = {}
+        #: key -> owner partition, for every key ever set (read-only to
+        #: callers): ``key_hash`` is a SHA-1 per call, and a dataset's
+        #: keys are all set while it is populated, so every later lookup
+        #: of them hits.
+        self.owners: Dict[bytes, int] = {}
 
     # ------------------------------------------------------------------
     def owner_of(self, key: bytes) -> int:
         """The EREW owner partition for a key (stable hash)."""
         try:
-            return self._owners[key]
+            return self.owners[key]
         except (KeyError, TypeError):  # never set, or not bytes
             return key_hash(bytes(key)) % len(self.partitions)
 
@@ -157,9 +159,15 @@ class MicaStore:
         return self.partitions[self.owner_of(key)].get(key)
 
     def set(self, key: bytes, value: bytes) -> None:
-        owner = self.owner_of(key)
-        self._owners[bytes(key)] = owner
-        self.partitions[owner].set(key, value)
+        key = bytes(key)
+        owner = self.owners.get(key)
+        if owner is not None:
+            self.partitions[owner].set(key, value)
+            return
+        # A new key: one hash places it in its partition and its bucket.
+        digest = key_hash(key)
+        owner = self.owners[key] = digest % len(self.partitions)
+        self.partitions[owner].set(key, value, digest)
 
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         return self.partitions[self.owner_of(start_key)].scan(start_key, count)

@@ -94,12 +94,31 @@ def test_hash_memos_match_sha1_for_every_dataset_key():
 
     dataset = build_dataset(n_partitions=4, n_keys=2_000, seed=3)
     store = dataset.store
-    assert len(store._owners) == len(dataset.keys)
+    assert len(store.owners) == len(dataset.keys)
     for key in dataset.keys:
         digest = key_hash(key)
         owner = digest % store.n_partitions
-        assert store._owners[key] == owner == store.owner_of(key)
+        assert store.owners[key] == owner == store.owner_of(key)
         index = store.partition(owner).index
         assert index._bucket_memo[key] is index._buckets[
             digest % index.n_buckets
         ]
+
+
+def test_populating_hashes_each_key_once(monkeypatch):
+    """A new key's one SHA-1 places it in both its partition and its
+    bucket: populating a dataset hashes each key exactly once."""
+    from repro.kvs import hashtable, store
+    from repro.kvs.dataset import build_dataset
+
+    calls = []
+    key_hash = hashtable.key_hash
+
+    def counting_hash(key):
+        calls.append(key)
+        return key_hash(key)
+
+    monkeypatch.setattr(store, "key_hash", counting_hash)
+    monkeypatch.setattr(hashtable, "key_hash", counting_hash)
+    dataset = build_dataset(n_partitions=4, n_keys=500, seed=3)
+    assert sorted(calls) == sorted(dataset.keys)
