@@ -228,19 +228,6 @@ def build_system(
     return _BUILDERS[name](sim, streams, n_cores)
 
 
-def check_composition(
-    kvs: Optional[KvsSpec] = None,
-    request_factory: Optional[Callable[..., Any]] = None,
-) -> None:
-    """Reject run layers that do not compose: a KVS workload supplies
-    its own request factory.  :func:`run_workload` (and through it
-    :func:`quick_run`) and the runner's ``execute_point`` call this one
-    rule set.
-    """
-    if kvs is not None and request_factory is not None:
-        raise ValueError("pass either kvs= or request_factory=, not both")
-
-
 def run_workload(
     system: RpcSystem,
     sim: Simulator,
@@ -265,8 +252,8 @@ def run_workload(
     ``request_factory`` and its ``execute`` hook runs each op against
     the store under the spec's concurrency discipline, surfacing
     ``kvs.*`` and ``kvs.ownership.*`` instruments in ``metrics``.
-    Mutually exclusive with an explicit ``request_factory`` (see
-    :func:`check_composition`).
+    Mutually exclusive with an explicit ``request_factory``: a KVS
+    workload supplies its own.
 
     With a non-trivial :class:`~repro.workload.jobs.JobShape`,
     ``n_requests`` counts *jobs*: each scatters its fan-out of sibling
@@ -288,10 +275,11 @@ def run_workload(
     With a :class:`~repro.control.ControlConfig`, a
     :class:`~repro.control.ControlLoop` senses the system's telemetry
     every control epoch and lets the configured controller actuate
-    steering, threshold, drain, and capacity knobs mid-run.
+    steering, drain, and capacity knobs mid-run.
     """
-    check_composition(kvs=kvs, request_factory=request_factory)
     if kvs is not None:
+        if request_factory is not None:
+            raise ValueError("pass either kvs= or request_factory=, not both")
         workload = wire_kvs(system, sim, kvs, seed=streams.master_seed)
         request_factory = workload.request_factory
     injector: Optional[FaultInjector] = None

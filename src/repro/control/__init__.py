@@ -7,9 +7,9 @@ package closes the loop.  A :class:`ControlLoop` (built by
 attached) senses the system every control epoch on the simulated clock
 and hands the observation to a :class:`Controller`, which actuates
 construction-frozen knobs through the :class:`Actuators` facade:
-migration thresholds and predictor recalibration, steering-policy
-selection and telemetry knobs (rack and spine level), worker<->manager
-group reassignment, and rack autoscaling via admin drains.
+steering-policy selection and telemetry knobs (rack and spine level),
+worker<->manager group reassignment, and rack autoscaling via admin
+drains.
 
 Everything is deterministic: a fixed seed plus a fixed
 :class:`ControlConfig` reproduces every decision bit-for-bit, and the

@@ -143,13 +143,6 @@ class Actuators:
         #: Construction-time policy name -- what a controller swaps back
         #: to when an escalation episode ends.
         self.base_policy_name = fabric.policy.name if fabric is not None else ""
-        #: Altocumulus instances reachable from this system (threshold
-        #: and predictor actuation targets): the system itself, or every
-        #: leaf server of a fabric.
-        self._ac_servers = [
-            s for s in (fabric.leaves() if fabric is not None else [system])
-            if hasattr(s, "runtimes")
-        ]
         #: Per-policy construction-time knob baseline for the
         #: escalation ladder (captured lazily; keyed by policy identity,
         #: refreshed across swaps).
@@ -170,7 +163,6 @@ class Actuators:
         self._m_restores = counter("control.restores")
         self._m_policy_swaps = counter("control.policy_swaps")
         self._m_knob_updates = counter("control.knob_updates")
-        self._m_threshold_updates = counter("control.threshold_updates")
         self._m_worker_moves = counter("control.worker_moves")
 
     # ------------------------------------------------------------------
@@ -256,35 +248,6 @@ class Actuators:
         if changed:
             self._record(self._m_knob_updates, 0, f"level{level}")
         return changed
-
-    # ------------------------------------------------------------------
-    # Migration threshold / predictor actuation (Altocumulus servers)
-    # ------------------------------------------------------------------
-    def set_threshold_epsilon(self, epsilon: float) -> bool:
-        """Retune the threshold-cache epsilon on every reachable
-        Altocumulus server (read live by ``current_threshold``)."""
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        changed = False
-        for server in self._ac_servers:
-            if server.config.threshold_epsilon != epsilon:
-                server.config.threshold_epsilon = float(epsilon)
-                changed = True
-        if changed:
-            self._record(self._m_threshold_updates, 0, "threshold_epsilon")
-        return changed
-
-    def recalibrate_predictors(self) -> int:
-        """Invalidate every manager's cached model threshold, forcing a
-        fresh Erlang-C evaluation at the next tick."""
-        count = 0
-        for server in self._ac_servers:
-            for runtime in server.runtimes:
-                runtime.invalidate_threshold_cache()
-                count += 1
-        if count:
-            self._record(self._m_threshold_updates, 0, "recalibrate")
-        return count
 
     # ------------------------------------------------------------------
     # Admin drain / restore (rack autoscaling, degradation response)

@@ -46,10 +46,6 @@ class ControlConfig:
     max_level: int = 3
     #: EWMA smoothing for the controllers' p99 baseline.
     baseline_alpha: float = 0.1
-    #: Threshold-cache epsilon pushed to Altocumulus servers while the
-    #: fabric is relaxed (cheaper manager ticks); escalation resets it
-    #: to 0.0 and recalibrates the predictors.
-    relaxed_threshold_epsilon: float = 0.05
     #: Steering policy the hysteresis controller swaps the top level to
     #: while the fabric is impaired (a unit is fault-drained) or the
     #: pressure ladder reaches ``swap_at_level``; the construction-time
@@ -101,8 +97,6 @@ class ControlConfig:
             raise ValueError(f"explore must be in [0, 1], got {self.explore}")
         if not 0 < self.reward_alpha <= 1:
             raise ValueError("reward_alpha must be in (0, 1]")
-        if self.relaxed_threshold_epsilon < 0:
-            raise ValueError("relaxed_threshold_epsilon must be >= 0")
         if self.swap_at_level < 1:
             raise ValueError(
                 f"swap_at_level must be >= 1, got {self.swap_at_level}"

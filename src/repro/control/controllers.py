@@ -15,9 +15,8 @@ the registry:
   health-aware policies cannot make, since a penalty only *biases* load
   away from a loss source.  Sustained p99 pressure against a slow EWMA
   baseline escalates the steering-telemetry ladder (more power-of-d
-  samples, fresher estimates, faster shortest-wait sampling) and resets
-  the Altocumulus threshold cache; calm de-escalates and relaxes the
-  threshold epsilon.  Optional extras: datacenter rack autoscaling and
+  samples, fresher estimates, faster shortest-wait sampling); calm
+  de-escalates.  Optional extras: datacenter rack autoscaling and
   Altocumulus worker<->group rebalancing.
 * ``bandit`` -- an epsilon-greedy optimizer over the same ladder: each
   epoch's negated p99 is the reward for the rung that produced it, and
@@ -137,7 +136,6 @@ class HysteresisController(Controller):
         self._baseline: Optional[float] = None
         self._level = 0
         self._calm_epochs = 0
-        self._relaxed = False
         self._low_epochs = 0
         self._rebalance_cooldown = 0
         self._defensive = False
@@ -154,12 +152,6 @@ class HysteresisController(Controller):
             return
         if p99 > cfg.escalate_ratio * self._baseline:
             self._calm_epochs = 0
-            if self._relaxed:
-                # Under pressure the threshold cache must track the load
-                # exactly again, and stale model points are flushed.
-                act.set_threshold_epsilon(0.0)
-                act.recalibrate_predictors()
-                self._relaxed = False
             if self._level < cfg.max_level:
                 self._level += 1
                 if not self._defensive:
@@ -173,9 +165,6 @@ class HysteresisController(Controller):
                     self._level -= 1
                     if not self._defensive:
                         self._set_rung(act)
-                elif not self._relaxed:
-                    act.set_threshold_epsilon(cfg.relaxed_threshold_epsilon)
-                    self._relaxed = True
         else:
             self._calm_epochs = 0
         self._baseline += cfg.baseline_alpha * (p99 - self._baseline)

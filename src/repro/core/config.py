@@ -94,13 +94,6 @@ class AltocumulusConfig:
     #: default (the paper argues the NoC is lightly loaded, Sec. V-B);
     #: the ablation bench turns it on to verify that claim.
     noc_link_contention: bool = False
-    #: Threshold-cache tolerance (Erlangs): the manager runtime reuses
-    #: its last computed migration threshold while the load estimate
-    #: stays within this distance of the load it was computed at.  The
-    #: default 0.0 only reuses *identical* loads, which is bit-identical
-    #: to recomputing every tick; raise it to trade threshold freshness
-    #: for tick cost on estimator-driven configurations.
-    threshold_epsilon: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_groups <= 0:
@@ -133,10 +126,6 @@ class AltocumulusConfig:
         if self.worker_bound <= 0:
             raise ValueError(
                 f"worker_bound must be positive, got {self.worker_bound}"
-            )
-        if self.threshold_epsilon < 0:
-            raise ValueError(
-                f"threshold_epsilon must be >= 0, got {self.threshold_epsilon}"
             )
         if self.messaging not in ("hw", "sw"):
             raise ValueError(

@@ -148,9 +148,6 @@ class ManagerRuntime:
         #: Ticks run: :meth:`tick`, and parked ticks, which the system's
         #: tick loop counts here.
         self.ticks = 0
-        #: True while parked ticks have not been settled into this
-        #: runtime's state (:meth:`settle_parked`).
-        self.parked = False
         self.migrations_triggered = 0
         self.descriptors_migrated = 0
         #: Live worker count for this group.  Starts at the config's
@@ -163,15 +160,10 @@ class ManagerRuntime:
             self.n_workers, config.slo_multiplier
         )
         #: Threshold cache: the load the model threshold was last
-        #: computed at, and that threshold.  Recomputed only when the
-        #: load estimate moves by more than ``config.threshold_epsilon``
-        #: (0.0 by default: any change recomputes, so cached results are
-        #: always bit-identical to recomputation).
+        #: computed at, and that threshold.  Reused only for an identical
+        #: load, so it always equals recomputation.
         self._cached_load: Optional[float] = None
         self._cached_threshold: float = float("inf")
-        #: Model load of the last parked tick not yet folded into the
-        #: cache (see :meth:`current_threshold`).
-        self._idle_load: Optional[float] = None
         #: The sorted isolation domain and this group's position in it
         #: never change; computing them per tick was pure overhead.
         self._domain_sorted: List[int] = sorted(self.domain)
@@ -186,8 +178,8 @@ class ManagerRuntime:
     def set_workers(self, n_workers: int) -> None:
         """Adopt a new live worker count (control-plane reassignment).
 
-        Recomputes ``T_upper`` and invalidates the threshold cache so
-        the next :meth:`current_threshold` reflects the new capacity.
+        Recomputes ``T_upper`` and flushes the threshold cache so the
+        next :meth:`current_threshold` reflects the new capacity.
         """
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
@@ -195,16 +187,8 @@ class ManagerRuntime:
         self._t_upper = upper_bound_threshold(
             self.n_workers, self.config.slo_multiplier
         )
-        self.invalidate_threshold_cache()
-
-    def invalidate_threshold_cache(self) -> None:
-        """Force a fresh model evaluation at the next threshold read
-        (control-plane predictor recalibration)."""
-        if self.parked:
-            self.settle_parked()
         self._cached_load = None
         self._cached_threshold = float("inf")
-        self._idle_load = None
 
     def _model_load(self) -> Optional[float]:
         """The load Eq. 2 is evaluated at, or None before the
@@ -237,22 +221,9 @@ class ManagerRuntime:
         load = self._model_load()
         if load is None:
             return t_upper  # not warmed up; be conservative
-        epsilon = cfg.threshold_epsilon
-        idle_load = self._idle_load
-        if idle_load is not None:
-            # Parked ticks ran at epsilon 0, where a read caches the load
-            # it sees.  Caching the last one now leaves the cache as
-            # those reads would have; at epsilon 0 this read overwrites
-            # it anyway.
-            self._idle_load = None
-            if epsilon != 0.0 and idle_load != self._cached_load:
-                self._model_threshold(idle_load)
-        # Threshold cache: skip the Erlang-C evaluation while the load
-        # estimate stays within epsilon of the last computed point.  The
-        # default epsilon of 0.0 reuses the cache only for *identical*
-        # loads, which is exactly what recomputation would return.
-        cached_load = self._cached_load
-        if cached_load is not None and abs(load - cached_load) <= epsilon:
+        # Threshold cache: skip the Erlang-C evaluation for the load it
+        # was last computed at.
+        if load == self._cached_load:
             return self._cached_threshold
         return self._model_threshold(load)
 
@@ -261,8 +232,6 @@ class ManagerRuntime:
     # ------------------------------------------------------------------
     def tick(self) -> int:
         """Run one period's decision; returns MIGRATE messages sent."""
-        if self.parked:
-            self.settle_parked()
         self.ticks += 1
         cfg = self.config
         local_len = self.hooks.local_queue_len()
@@ -313,30 +282,3 @@ class ManagerRuntime:
             self.interface.tick_cost_ns(sent, queue_reads=self.n_groups)
         )
         return sent
-
-    def settle_parked(self) -> None:
-        """Apply the state change of the parked ticks since the last
-        settle.
-
-        A parked tick is a :meth:`tick` that finds the local queue
-        empty while the threshold cache is exact (``threshold_epsilon``
-        0 or no ``model`` threshold): it broadcasts 0 and sends
-        nothing, since no request is over any threshold and line 8
-        rejects every destination.  The system runs none of it at the
-        tick (:class:`repro.core.scheduler.ParkedTicks` counts it and
-        writes its UPDATE and charge later); what it
-        leaves here is the local slot at 0 and, under a ``model``
-        threshold, the load its threshold read would have cached, which
-        the next read that needs it caches.  That load is the last
-        parked tick's as long as the estimator and the cache have not
-        changed since: the system settles before an estimator update,
-        and :meth:`invalidate_threshold_cache` (through it
-        :meth:`set_workers`, whose flush drops that load) and
-        :meth:`tick` settle first.
-        """
-        self.parked = False
-        self.q_view[self.group_index] = 0
-        if self.config.threshold_mode == "model":
-            load = self._model_load()
-            if load is not None:
-                self._idle_load = load

@@ -116,11 +116,6 @@ class AltocumulusSystem(RpcSystem):
         self._sw_dispatch = config.effective_dispatch == "sw"
         #: Software dispatch: when each manager core next frees up.
         self._mgr_free_at: List[float] = [0.0] * g
-        #: Software dispatch: per group, the times of parked ticks whose
-        #: charge ``_mgr_free_at`` has not taken yet.  Settled before the
-        #: group's next dispatch, and by every fill-in, which any tick
-        #: that charges the manager runs first (:meth:`_settle_charges`).
-        self._park_charges: List[List[float]] = [[] for _ in range(g)]
         #: Interface cost of each manager's most recent tick.
         self._tick_cost: List[float] = [0.0] * g
         #: Interface cost of a tick that sends no MIGRATE (a parked
@@ -167,16 +162,6 @@ class AltocumulusSystem(RpcSystem):
         #: (:class:`ParkedTicks`, :meth:`fill_in_parked`).
         self._park_log: List[Any] = []
         self._parked_updates = ParkedUpdates(self.managers)
-        #: Whether ticks run and a group's model threshold follows its
-        #: load estimator, so a parked tick's load must be settled into
-        #: the runtime before the estimator moves
-        #: (:meth:`ManagerRuntime.settle_parked`).
-        self._settle_on_estimate = (
-            config.runtime_enabled
-            and g > 1
-            and config.threshold_mode == "model"
-            and config.offered_load is None
-        )
         self.noc.defer(self._park_log, self.fill_in_parked)
         self.metrics.before_snapshot(self.fill_in_parked)
         #: Descriptors lost to a NACK returning after a manager crash
@@ -243,8 +228,6 @@ class AltocumulusSystem(RpcSystem):
         request.enqueued = self.sim.now
         mrs = self.managers[group].mrs
         request.queue_len_at_arrival = len(mrs.entries) + self._occ_total[group]
-        if self._settle_on_estimate and self.runtimes[group].parked:
-            self.runtimes[group].settle_parked()
         self.estimators[group].record_arrival(self.sim.now)
         mrs.enqueue(request)
         trace = self.trace
@@ -349,10 +332,7 @@ class AltocumulusSystem(RpcSystem):
             # (group, worker) at construction.
             return self._hw_dispatch_ns[group][worker]
         # Software dispatch: the manager core moves the message through
-        # the coherence protocol, one op at a time, after the parked
-        # ticks' charges.
-        if self._park_charges[group]:
-            self._settle_charges(group)
+        # the coherence protocol, one op at a time.
         now = self.sim.now
         free_at = self._mgr_free_at[group]
         end = (free_at if free_at > now else now) + self.constants.coherence_msg_ns
@@ -384,8 +364,6 @@ class AltocumulusSystem(RpcSystem):
         worker = self._core_worker[core_id]
         self.occupancy[group][worker] -= 1
         self._occ_total[group] -= 1
-        if self._settle_on_estimate and self.runtimes[group].parked:
-            self.runtimes[group].settle_parked()
         self.estimators[group].record_completion(request.service_time)
         waiting = self.local_wait[group][worker]
         if waiting:
@@ -481,17 +459,6 @@ class AltocumulusSystem(RpcSystem):
             now = self.sim.now
             free_at = self._mgr_free_at[group]
             self._mgr_free_at[group] = (free_at if free_at > now else now) + ns
-
-    def _settle_charges(self, group: int) -> None:
-        """Charge the manager core for the group's parked ticks, in
-        order, as :meth:`_charge_manager` would have at each tick."""
-        times = self._park_charges[group]
-        free_at = self._mgr_free_at[group]
-        cost = self._idle_tick_cost
-        for time in times:
-            free_at = (free_at if free_at > time else time) + cost
-        self._mgr_free_at[group] = free_at
-        times.clear()
 
     # ------------------------------------------------------------------
     # Messaging-hardware callbacks
@@ -676,8 +643,7 @@ class AltocumulusSystem(RpcSystem):
 
     def fill_in_parked(self) -> None:
         """Write the logged parked ticks' zero UPDATE broadcasts, in key
-        order (:class:`~repro.hw.messaging.ParkedUpdates`), and settle
-        their charges, so those lists stay as short as the log.
+        order (:class:`~repro.hw.messaging.ParkedUpdates`).
 
         Runs before anything could observe what they left out: any NoC
         transmit (:meth:`repro.hw.noc.Noc.defer`), any tick that runs
@@ -691,9 +657,6 @@ class AltocumulusSystem(RpcSystem):
             log, [runtime.q_view for runtime in self.runtimes], self.sim.now
         )
         log.clear()
-        for group, times in enumerate(self._park_charges):
-            if times:
-                self._settle_charges(group)
 
     def shutdown(self) -> None:
         self._tick_running = False
@@ -707,38 +670,37 @@ class ParkedTicks(ParkedTimers):
     """The ticks of an :class:`AltocumulusSystem`'s idle groups, held
     off the event heap at their next ``(time, seq)`` keys.
 
-    A parked tick is one whose group is idle when it fires
+    A parked tick is one whose group's MR queue is empty when it fires
     (:meth:`idle`): Algorithm 1 would broadcast 0, send nothing and
-    charge the cost of a tick that sends no MIGRATE.  Firing it only
-    counts it, marks the runtime parked, logs its key with the first of
-    the sequence numbers its UPDATE copies take, and parks its next key
-    one cadence later with the sequence number after them, exactly as
-    re-arming its heap event would have.  The rest is filled in later,
-    in order, before anything can observe it: the UPDATE copies' NoC
-    accounting and register writes
-    (:meth:`AltocumulusSystem.fill_in_parked`), and under software
-    dispatch the charge to ``_mgr_free_at``
-    (:meth:`AltocumulusSystem._settle_charges`).  Its register read
-    waits for the group's next tick that runs Algorithm 1, and its
-    runtime state for :meth:`ManagerRuntime.settle_parked`.
+    charge the cost of a tick that sends no MIGRATE.  Firing it counts
+    it, under software dispatch charges that cost to ``_mgr_free_at``
+    as :meth:`AltocumulusSystem._charge_manager` would, logs its key
+    with the first of the sequence numbers its UPDATE copies take, and
+    parks its next key one cadence later with the sequence number after
+    them, exactly as re-arming its heap event would have.  Its UPDATE
+    copies' NoC accounting and register writes are filled in later, in
+    order, before anything can observe them
+    (:meth:`AltocumulusSystem.fill_in_parked`); its register read waits
+    for the group's next tick that runs Algorithm 1.  The rest of the
+    skipped tick leaves nothing to observe: that next tick writes the
+    local queue-length slot before anything reads it, and the threshold
+    cache is reused only for an identical load, so a skipped threshold
+    read changes no later one.
 
     A group parks when a tick fired from the heap finds it idle
     (:meth:`park`).  Idleness can only end in an event -- an MR
     enqueue, a MIGRATE in or a NACK restore, a manager crash's
-    redispatch, an epsilon retune -- and :meth:`fire` tests it again at
-    each parked key, so the first key at which the group is not idle
-    goes back onto the heap unchanged and runs Algorithm 1 there.
-    Nothing else a parked tick reads can change: a worker reassignment
-    only settles the runtime, which the next parked tick marks parked
-    again.  :meth:`AltocumulusSystem.shutdown` resumes every parked
-    tick onto the heap, where it fires once and stops.
+    redispatch -- and :meth:`fire` tests it again at each parked key,
+    so the first key at which the group is not idle goes back onto the
+    heap unchanged and runs Algorithm 1 there.  Nothing else a parked
+    tick reads can change.  :meth:`AltocumulusSystem.shutdown` resumes
+    every parked tick onto the heap, where it fires once and stops.
     """
 
     def __init__(self, system: AltocumulusSystem) -> None:
         cfg = system.config
         self.sim = system.sim
         self._config = cfg
-        self._model = cfg.threshold_mode == "model"
         self._idle_cost = system._idle_tick_cost
         self._entries = [hw.mrs.entries for hw in system.managers]
         #: Each group's tick event (:meth:`AltocumulusSystem._start_ticks`).
@@ -750,7 +712,7 @@ class ParkedTicks(ParkedTimers):
         #: a tick takes: one per UPDATE copy, then its next key's.
         self._bound = (
             self.sim, self._keys, self._entries, system.runtimes,
-            system._park_charges if system._sw_dispatch else None,
+            system._mgr_free_at if system._sw_dispatch else None,
             system._park_log, 3 * PARK_LOG_LIMIT, cfg.n_groups,
             system.fill_in_parked, self.events,
         )
@@ -760,12 +722,9 @@ class ParkedTicks(ParkedTimers):
         return len(self._keys)
 
     def idle(self, group: int) -> bool:
-        """Whether ``group``'s tick parks now: its MR queue is empty and
-        the threshold cache is exact (``threshold_epsilon`` 0 or no
-        ``model`` threshold).  :meth:`fire` makes the same test."""
-        return not self._entries[group] and (
-            not self._model or self._config.threshold_epsilon == 0.0
-        )
+        """Whether ``group``'s tick parks now: its MR queue is empty.
+        :meth:`fire` makes the same test."""
+        return not self._entries[group]
 
     def park(self, group: int, event: Event) -> None:
         """``group``'s tick, firing from the heap at ``event``'s key,
@@ -786,16 +745,14 @@ class ParkedTicks(ParkedTimers):
         sim.parked_moved()
 
     def fire(self, time: float, seq: float, limit: int) -> int:
-        (sim, keys, entries, runtimes, charges, log, slots, stride, fill_in,
+        (sim, keys, entries, runtimes, free_at, log, slots, stride, fill_in,
          events) = self._bound
         if not keys:
             return 0
-        cfg = self._config
-        delay = cfg.period_ns
-        if self._idle_cost > delay:
-            delay = self._idle_cost
-        # :meth:`idle`, split: the epsilon half holds for the whole call.
-        exact = not self._model or cfg.threshold_epsilon == 0.0
+        cost = self._idle_cost
+        delay = self._config.period_ns
+        if cost > delay:
+            delay = cost
         copies = stride - 1
         counter = sim._seq
         fired = 0
@@ -806,16 +763,15 @@ class ParkedTicks(ParkedTimers):
             if at > time or (at == time and key[1] > seq):
                 break
             group = key[2]
-            if entries[group] or not exact:
+            if entries[group]:
                 heappop(keys)
                 sim.resume(events[group], at, key[1])
                 break
-            runtime = runtimes[group]
-            runtime.ticks += 1
-            runtime.parked = True
+            runtimes[group].ticks += 1
             log += (at, counter, group)
-            if charges is not None:
-                charges[group].append(at)
+            if free_at is not None:
+                busy = free_at[group]
+                free_at[group] = (busy if busy > at else at) + cost
             heapreplace(keys, (at + delay, counter + copies, group))
             counter += stride
             fired += 1

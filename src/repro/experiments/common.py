@@ -24,7 +24,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import ArrivalProcess, MMPPArrivals
 from repro.workload.connections import ConnectionPool
-from repro.workload.request import Request
 from repro.workload.service import ServiceDistribution
 
 
@@ -125,15 +124,14 @@ def latency_throughput_curve(
     seed: int = 1,
     arrival_factory: Optional[Callable[[float], ArrivalProcess]] = None,
     connections: Optional[Callable[[], ConnectionPool]] = None,
-    request_factory_factory: Optional[Callable[[], Callable[[Request], None]]] = None,
     label: str = "sweep",
 ) -> List[SweepPoint]:
     """Sweep offered rates and collect the tail-latency curve.
 
     ``arrival_factory`` defaults to Poisson; pass e.g.
     :func:`real_world_arrivals` for the real-world pattern.  Fresh
-    connections / request factories are created per point so state (like
-    the MICA store) does not leak across loads.
+    connections are created per point so state does not leak across
+    loads.
 
     The sweep is dispatched through :func:`repro.runner.run_points` and
     obeys the process-wide ``--jobs`` / cache configuration, so every
@@ -149,7 +147,6 @@ def latency_throughput_curve(
             seed=seed,
             arrivals=maybe_ref(arrival_factory),
             connections=maybe_ref(connections),
-            request_factory=maybe_ref(request_factory_factory),
             slo_ns=slo_ns,
             tag=label,
         )

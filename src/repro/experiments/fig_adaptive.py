@@ -278,9 +278,8 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
             "Static cells never touch their knobs; adaptive cells start "
             "from power-of-2 steering\n"
             "and let the controller escalate probe width / estimate "
-            "freshness, drain impaired\n"
-            "servers, and retune thresholds from live control.* "
-            "telemetry."
+            "freshness and drain impaired\n"
+            "servers from live control.* telemetry."
         ),
         series=series,
     )

@@ -17,7 +17,7 @@ and the telemetry the layer emits.
 
 from repro.faults.client import RetryClient
 from repro.faults.health import ALL_HEALTHY, DEFAULT_DEGRADED_PENALTY, HealthView
-from repro.faults.injector import NULL_FAULTS, FaultInjector, NullFaults
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FAULT_KINDS,
     FaultEvent,
@@ -38,8 +38,6 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "HealthView",
-    "NULL_FAULTS",
-    "NullFaults",
     "ONESHOT_KINDS",
     "PAIRED_KINDS",
     "RECOVERY_KINDS",

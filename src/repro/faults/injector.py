@@ -41,30 +41,8 @@ from repro.faults.plan import (
 )
 
 
-class NullFaults:
-    """Shared do-nothing injector: the no-plan fast path.
-
-    ``enabled`` is False at class level so fault-aware call sites can
-    guard with one attribute check, exactly like ``NullSink.enabled``.
-    """
-
-    enabled = False
-
-    def response_delivered(self, request: Request) -> bool:
-        return True
-
-    def finalize(self) -> None:
-        pass
-
-
-#: The singleton held wherever no fault plan is attached.
-NULL_FAULTS = NullFaults()
-
-
 class FaultInjector:
     """Wires one plan into one system (single server or rack)."""
-
-    enabled = True
 
     def __init__(
         self,

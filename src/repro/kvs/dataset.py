@@ -29,7 +29,9 @@ class Dataset:
 
     keys: List[bytes]
     store: MicaStore
-    value_bytes: int
+    #: The shared value buffers the keys were loaded with: key ``i``
+    #: holds ``values[i % len(values)]``.
+    values: List[bytes]
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -106,4 +108,4 @@ def build_dataset(
         key = make_key(i)
         keys.append(key)
         store.set(key, value_pool[i % len(value_pool)])
-    return Dataset(keys=keys, store=store, value_bytes=value_bytes)
+    return Dataset(keys=keys, store=store, values=value_pool)

@@ -210,8 +210,8 @@ class MicaWorkload:
         self._conn_for_group = (
             self._find_representative_connections() if affinity else []
         )
-        sample = dataset.store.get(dataset.keys[0]) if dataset.keys else None
-        self._sample_value = sample or b"\x00" * dataset.value_bytes
+        #: SET payload: key 0's loaded value, read without a counted GET.
+        self._sample_value = dataset.values[0]
         self.executed = 0
         self.remote_accesses = 0
         self.aborted = 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
 from repro.analysis.metrics import LatencySummary
-from repro.api import check_composition, run_workload
+from repro.api import run_workload
 from repro.runner.spec import CallableRef, PointSpec, TaskSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -83,9 +83,6 @@ def execute_point(spec: PointSpec) -> PointResult:
     sibling points) executed it -- parallel sweeps are bit-identical to
     serial ones.
     """
-    # A wired builder's own request factory is checked against ``kvs``
-    # by run_workload.
-    check_composition(kvs=spec.kvs, request_factory=spec.request_factory)
     sim = Simulator()
     streams = RandomStreams(spec.seed)
     built = spec.builder.resolve()(sim, streams)
@@ -94,8 +91,6 @@ def execute_point(spec: PointSpec) -> PointResult:
         system, request_factory = built
     else:
         system = built
-    if spec.request_factory is not None:
-        request_factory = spec.request_factory.resolve()()
     connections = (
         spec.connections.resolve()() if spec.connections is not None else None
     )

@@ -48,7 +48,8 @@ from repro.workload.service import ServiceDistribution
 #: 7: PointSpec grew the ``kvs`` KvsSpec field.
 #: 8: PointSpec lost the ``shards`` field.
 #: 9: PointResult lost the ``extra`` field; ``job.*`` rides ``instruments``.
-SPEC_SCHEMA_VERSION = 9
+#: 10: PointSpec lost the ``request_factory`` field.
+SPEC_SCHEMA_VERSION = 10
 
 
 class SpecError(TypeError):
@@ -162,7 +163,6 @@ class PointSpec:
     seed: int = 1
     arrivals: Optional[CallableRef] = None
     connections: Optional[CallableRef] = None
-    request_factory: Optional[CallableRef] = None
     metrics: Optional[CallableRef] = None
     warmup_fraction: float = 0.1
     size_bytes: int = 300
@@ -185,8 +185,8 @@ class PointSpec:
     #: KVS-backed workload: a MICA store + ownership discipline wired
     #: into every leaf of the built system (``None`` = no data layer).
     #: KvsSpec is a frozen dataclass of primitives, so it pickles and
-    #: content-hashes cleanly; mutually exclusive with an explicit
-    #: ``request_factory``.
+    #: content-hashes cleanly; mutually exclusive with a wired
+    #: builder's request factory.
     kvs: Optional[KvsSpec] = None
     #: Free-form label for progress display and result grouping; part of
     #: the identity (two differently-tagged identical runs cache apart).

@@ -1,32 +1,31 @@
 """Fixed Altocumulus runs that pin the manager tick loop's parked path.
 
 A parked manager tick (empty MR queue, nothing to migrate) skips the
-Algorithm 1 body and fills in its UPDATE and charge later, but must
-leave every observable output exactly as the full tick would: the
-request timeline, every registry instrument, and each runtime's tick
-count.  ``tests/data/idle_tick_golden.json`` stores
-:func:`idle_tick_snapshot` of each case in :data:`IDLE_TICK_CASES`,
-each captured from a tick loop that wrote every tick's UPDATE and
-charge when the tick ran; the tier-1 test ``tests/test_idle_ticks.py``
-recomputes and compares them.
+Algorithm 1 body and fills in its UPDATE later, but must leave every
+observable output exactly as the full tick would: the request
+timeline, every registry instrument, and each runtime's tick count.
+``tests/data/idle_tick_golden.json`` stores :func:`idle_tick_snapshot`
+of each case in :data:`IDLE_TICK_CASES`, each captured from a tick loop
+that wrote every tick's UPDATE and charge when the tick ran, or checked
+against one; the tier-1 test ``tests/test_idle_ticks.py`` recomputes
+and compares them.
 
 The cases cover what an idle tick must still account for: software
 dispatch (the tick's charge delays dispatches), the MSR interface (the
 tick's charge stretches the cadence), hardware dispatch across four
 groups, MIGRATEs into idle groups, tracing (NoC spans of every UPDATE),
-and the threshold cache in ``model`` mode: a threshold-epsilon relax
-through the control plane's actuator after idle stretches at epsilon 0,
-with and without a worker reassignment before it (the cache a nonzero
-epsilon reuses is the one the idle ticks' threshold reads left).  The
-later cases add what a parked tick defers past: the data layer's shape
-at low load (every group parked most of the run), software messaging
-and dispatch (MIGRATE charges on the manager core), manager crashes and
-a worker reassignment landing on parked groups, and NoC link
-contention (parked UPDATEs replayed through the link state).  The
-engine cases pin what the simulator reports around parked ticks: two
-systems sharing one simulator, and runs cut short by ``max_events`` or
-``stop()`` while groups park (``end_cut``, ``events_processed``,
-``pending`` and ``updates_received`` at every cut).
+and the estimator-driven ``model`` threshold on eight groups, with and
+without a worker reassignment landing on a parked group (a threshold
+read the parked ticks skip must change no later one).  The later cases
+add what a parked tick defers past: the data layer's shape at low load
+(every group parked most of the run), software messaging and dispatch
+(MIGRATE charges on the manager core), manager crashes and a worker
+reassignment landing on parked groups, and NoC link contention (parked
+UPDATEs replayed through the link state).  The engine cases pin what
+the simulator reports around parked ticks: two systems sharing one
+simulator, and runs cut short by ``max_events`` or ``stop()`` while
+groups park (``end_cut``, ``events_processed``, ``pending`` and
+``updates_received`` at every cut).
 
 Regenerate (only for an intentional behaviour change)::
 
@@ -44,15 +43,13 @@ import json
 from typing import Any, Dict
 
 from repro.api import run_workload
-from repro.control.actuators import Actuators
-from repro.control.config import ControlConfig
 from repro.core.config import AltocumulusConfig
 from repro.core.scheduler import AltocumulusSystem
 from repro.experiments.fig10_comparison import SERVICE as FIG10_SERVICE
 from repro.experiments.fig10_comparison import _ac_rss_builder
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.telemetry import MetricRegistry, TraceSink, capture
+from repro.telemetry import TraceSink, capture
 from repro.workload.arrivals import MMPPArrivals, PoissonArrivals
 from repro.workload.generator import LoadGenerator
 from repro.workload.service import Exponential
@@ -64,10 +61,8 @@ from repro.workload.service import Exponential
 #: offer 1 us exponential service.  ``burst`` cases arrive in MMPP
 #: batches of that mean size, so one group's queue spikes while its
 #: peers idle: MIGRATEs into idle groups in every index order.
-#: ``retune`` relaxes ``threshold_epsilon`` to that value a third of the
-#: way through the run and restores 0 at two thirds
-#: (:func:`_schedule_retune`); ``reassign`` first moves a worker from
-#: group 0 to group 1 a sixth of the way through.  ``fail`` crashes and
+#: ``reassign`` moves a worker from group 0 to group 1 a sixth of the way
+#: through the run (:func:`_schedule_reassign`).  ``fail`` crashes and
 #: restarts each listed group's manager at that fraction of the run.
 IDLE_TICK_CASES: Dict[str, Dict[str, Any]] = {
     "ac_rss@0.25": dict(shape="fig10", rate_mrps=0.25, n=1500),
@@ -79,20 +74,15 @@ IDLE_TICK_CASES: Dict[str, Dict[str, Any]] = {
                        n=3000),
     "hw_4x16_burst@16": dict(shape="hw", groups=4, size=16, rate_mrps=16.0,
                              n=3000, burst=16.0),
-    "hw_8x4_burst_epsilon_retune@16": dict(shape="hw", groups=8, size=4,
-                                           rate_mrps=16.0, n=3000,
-                                           burst=4.0, retune=0.5),
+    "hw_8x4_burst@16": dict(shape="hw", groups=8, size=4, rate_mrps=16.0,
+                            n=3000, burst=4.0),
     # Groups idle between bursts while their estimator load keeps
-    # moving: the relax reuses whatever load the last idle tick's
-    # threshold read cached.
-    "hw_8x4_burst_epsilon_relax@8": dict(shape="hw", groups=8, size=4,
-                                         rate_mrps=8.0, n=3000, burst=4.0,
-                                         retune=1.0),
-    "hw_8x4_burst_reassign_epsilon_relax@8": dict(shape="hw", groups=8,
-                                                  size=4, rate_mrps=8.0,
-                                                  n=3000, burst=4.0,
-                                                  retune=1.0,
-                                                  reassign=True),
+    # moving.
+    "hw_8x4_burst@8": dict(shape="hw", groups=8, size=4, rate_mrps=8.0,
+                           n=3000, burst=4.0),
+    "hw_8x4_burst_reassign@8": dict(shape="hw", groups=8, size=4,
+                                    rate_mrps=8.0, n=3000, burst=4.0,
+                                    reassign=True),
     "hw_4x8_burst@8": dict(shape="hw", groups=4, size=8, rate_mrps=8.0,
                            n=3000, burst=8.0,
                            config=dict(threshold_mode="fixed",
@@ -121,9 +111,8 @@ IDLE_TICK_CASES: Dict[str, Dict[str, Any]] = {
                                                       dispatch_mode="sw")),
     "hw_4x8_fail@4": dict(shape="hw", groups=4, size=8, rate_mrps=4.0,
                           n=3000, fail=((1 / 3, 2), (2 / 3, 0))),
-    "hw_8x4_reassign_epsilon_relax@4": dict(shape="hw", groups=8, size=4,
-                                            rate_mrps=4.0, n=3000,
-                                            retune=1.0, reassign=True),
+    "hw_8x4_reassign@4": dict(shape="hw", groups=8, size=4, rate_mrps=4.0,
+                              n=3000, reassign=True),
     "hw_4x16_burst_contended@16": dict(shape="hw", groups=4, size=16,
                                        rate_mrps=16.0, n=2000, burst=16.0,
                                        config=dict(noc_link_contention=True)),
@@ -180,32 +169,17 @@ def _build(sim: Simulator, streams: RandomStreams, case: Dict[str, Any]):
     return AltocumulusSystem(sim, streams, config), FIG10_SERVICE
 
 
-def _schedule_retune(sim: Simulator, streams: RandomStreams,
-                     system: AltocumulusSystem, case: Dict[str, Any],
-                     span_ns: float) -> None:
-    """Drive the threshold cache through the control plane's actuator
-    the way the hysteresis controller does: relax ``threshold_epsilon``
-    a third of the way through the run (the cache is kept), and at two
-    thirds restore 0 and recalibrate (the cache is flushed).  With
-    ``reassign``, a worker moves from group 0 to group 1 from a sixth."""
-    act = Actuators(sim, streams, system, ControlConfig(), MetricRegistry())
-
-    def relax() -> None:
-        act.set_threshold_epsilon(case["retune"])
-
-    def restore() -> None:
-        act.set_threshold_epsilon(0.0)
-        act.recalibrate_predictors()
+def _schedule_reassign(sim: Simulator, system: AltocumulusSystem,
+                       span_ns: float) -> None:
+    """Move a worker from group 0 to group 1 from a sixth of the way
+    through the run, as the control plane's rebalancer does."""
 
     def reassign() -> None:
         # Only an idle worker moves: retry each Period until one is.
-        if not act.reassign_worker(0, 1):
+        if not system.reassign_worker(0, 1):
             sim.schedule(system.config.period_ns, reassign)
 
-    if case.get("reassign"):
-        sim.schedule_at(span_ns / 6, reassign)
-    sim.schedule_at(span_ns / 3, relax)
-    sim.schedule_at(2 * span_ns / 3, restore)
+    sim.schedule_at(span_ns / 6, reassign)
 
 
 def idle_tick_snapshot(name: str) -> Dict[str, Any]:
@@ -221,8 +195,8 @@ def idle_tick_snapshot(name: str) -> Dict[str, Any]:
         system, service = _build(sim, streams, case)
         rate_rps = case["rate_mrps"] * 1e6
         span_ns = case["n"] / rate_rps * 1e9
-        if "retune" in case:
-            _schedule_retune(sim, streams, system, case, span_ns)
+        if case.get("reassign"):
+            _schedule_reassign(sim, system, span_ns)
         for fraction, group in case.get("fail", ()):
             sim.schedule_at(fraction * span_ns, system.fail_manager, group)
         if "burst" in case:

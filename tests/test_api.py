@@ -92,26 +92,8 @@ class TestRunWorkload:
 
 
 # ----------------------------------------------------------------------
-# One composition rule set, enforced by every run entry point
+# The composition rule, enforced where a request factory comes in
 # ----------------------------------------------------------------------
-def _point_builder(sim, streams):  # pragma: no cover - checks fire first
-    raise AssertionError("composition checks run before the build")
-
-
-def _noop_factory():  # pragma: no cover - never resolved
-    return None
-
-
-def _via_execute_point():
-    from repro.kvs.ownership import KvsSpec
-    from repro.runner import PointSpec, execute_point, ref
-
-    execute_point(PointSpec(
-        builder=ref(_point_builder), service=Fixed(500.0), rate_rps=1e6,
-        n_requests=100, kvs=KvsSpec(), request_factory=ref(_noop_factory),
-    ))
-
-
 def _via_run_workload():
     from repro.kvs.ownership import KvsSpec
 
@@ -122,12 +104,13 @@ def _via_run_workload():
                  request_factory=lambda request: None)
 
 
+#: Only run_workload takes a request factory: quick_run takes none, and
+#: the runner's execute_point hands a wired builder's to run_workload.
 _ENTRY_POINTS = {
-    "execute_point": _via_execute_point,
     "run_workload": _via_run_workload,
 }
 
-#: quick_run takes no request factory, so it cannot break the rule.
+
 @pytest.mark.parametrize("rule,entry", [
     ("kvs_x_request_factory", entry) for entry in sorted(_ENTRY_POINTS)
 ])

@@ -68,7 +68,7 @@ class TestControlConfig:
         dict(baseline_alpha=0.0),
         dict(explore=1.5),
         dict(reward_alpha=0.0),
-        dict(relaxed_threshold_epsilon=-0.1),
+        dict(autoscale_low=-0.1),
         dict(swap_at_level=0),
         dict(autoscale_low=0.5, autoscale_high=0.5),
         dict(min_active=0),

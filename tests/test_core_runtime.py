@@ -288,3 +288,52 @@ class TestTickSkipsHopelessPlans:
             skipped += len(planned) == before
             assert [dst for dst, _ in mock.sent] == expected
         assert 0 < skipped < 400
+
+
+class TestThresholdMemo:
+    """The ``model`` threshold is memoized per load: every read must
+    equal a fresh clamped Eq. 2 evaluation at the live estimator load
+    and worker count."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_read_matches_fresh_evaluation(self, monkeypatch, seed):
+        import numpy as np
+
+        real_threshold = ThresholdModel.threshold
+        evaluations = []
+
+        def counting_threshold(self, k, load_erlangs):
+            evaluations.append(k)
+            return real_threshold(self, k, load_erlangs)
+
+        monkeypatch.setattr(ThresholdModel, "threshold", counting_threshold)
+        runtime = make_runtime(MockSystem(), threshold_mode="model")
+        config, estimator = runtime.config, runtime.estimator
+
+        def fresh():
+            k = runtime.n_workers
+            t_upper = k * config.slo_multiplier + 1
+            load = estimator.load_erlangs()
+            if load is None:
+                return t_upper
+            t_model = real_threshold(config.threshold_model, k,
+                                     min(load, 0.995 * k))
+            return min(max(t_model, 1.0), t_upper)
+
+        rng = np.random.default_rng(seed)
+        now = 0.0
+        steps = 400
+        for _ in range(steps):
+            action = rng.random()
+            if action < 0.3:
+                now += float(rng.choice([100.0, 200.0, 400.0, 800.0]))
+                estimator.record_arrival(now)
+            elif action < 0.5:
+                estimator.record_completion(
+                    float(rng.choice([200.0, 400.0, 800.0])))
+            elif action < 0.7:
+                runtime.set_workers(int(rng.integers(1, 21)))
+            # Otherwise read again at an unchanged load and worker count.
+            assert runtime.current_threshold() == fresh()
+        # The memo served some reads.
+        assert 0 < len(evaluations) < steps

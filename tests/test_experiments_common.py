@@ -11,7 +11,6 @@ from repro.experiments.common import (
 from repro.runner import PointSpec, SpecError, execute_point, ref
 from repro.schedulers.jbsq import ideal_cfcfs
 from repro.workload.connections import ConnectionPool
-from repro.workload.request import RequestKind
 from repro.workload.service import Fixed
 
 
@@ -23,19 +22,8 @@ def three_connections():
     return ConnectionPool(3)
 
 
-def _mark_get(request):
-    request.kind = RequestKind.GET
-
-
-def get_factory():
-    return _mark_get
-
-
-def connection_and_kind(result):
-    return {
-        "connections": sorted({r.connection for r in result.requests}),
-        "all_get": all(r.kind is RequestKind.GET for r in result.requests),
-    }
+def connections_seen(result):
+    return {"connections": sorted({r.connection for r in result.requests})}
 
 
 class TestExecutePoint:
@@ -48,14 +36,12 @@ class TestExecutePoint:
         b = execute_point(self._spec(n_requests=500))
         assert a.latency.p99 == b.latency.p99  # no state leaked
 
-    def test_request_factory_and_connections_plumbed(self):
+    def test_connections_and_metrics_plumbed(self):
         result = execute_point(self._spec(
             n_requests=200,
             connections=ref(three_connections),
-            request_factory=ref(get_factory),
-            metrics=ref(connection_and_kind),
+            metrics=ref(connections_seen),
         ))
-        assert result.metrics["all_get"]
         assert set(result.metrics["connections"]) <= {0, 1, 2}
 
 

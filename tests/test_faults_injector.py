@@ -10,7 +10,6 @@ from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultPlan,
-    NULL_FAULTS,
     RetryClient,
     RetryPolicy,
 )
@@ -35,13 +34,6 @@ def make_rack(sim, streams, n_servers=4, policy="power_of_d"):
         n_servers=n_servers, cores_per_server=2, system="altocumulus",
         policy=policy,
     ))
-
-
-class TestNullFaults:
-    def test_null_singleton_is_disabled(self):
-        assert NULL_FAULTS.enabled is False
-        assert NULL_FAULTS.response_delivered(None) is True
-        NULL_FAULTS.finalize()  # no-op
 
 
 class TestServerCrash:

@@ -218,6 +218,13 @@ class TestExecution:
         workload = make_workload(dataset)
         assert workload.execute(make_request()) == 0.0
 
+    def test_building_the_workload_counts_no_get(self):
+        """The SET payload is taken without a GET no request made."""
+        dataset = build_dataset(n_partitions=4, n_keys=400, seed=3)
+        workload = make_workload(dataset)
+        assert [p.stats.gets for p in dataset.store.partitions] == [0] * 4
+        assert workload._sample_value == dataset.store.get(dataset.keys[0])
+
 
 class TestDataset:
     def test_deterministic_keys(self):
