@@ -47,8 +47,8 @@ def main() -> None:
         concurrency=3,
         slo_multiplier=10.0,
     )
-    system = AltocumulusSystem(sim, streams, config,
-                               execution_penalty=workload.execute)
+    system = AltocumulusSystem(sim, streams, config)
+    system.execute = workload.execute
 
     result = run_workload(
         system,

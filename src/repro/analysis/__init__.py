@@ -1,15 +1,10 @@
-"""Measurement and reporting: latency statistics, throughput@SLO,
-SLO-violation accounting, the migration-effectiveness breakdown of
+"""Measurement and reporting: latency statistics, SLO-violation
+accounting, the migration-effectiveness breakdown of
 Fig. 12, and plain-text table rendering for the benchmark harness.
 """
 
 from repro.analysis.metrics import LatencySummary, summarize_latencies
-from repro.analysis.slo import (
-    SloPolicy,
-    find_throughput_at_slo,
-    prediction_accuracy,
-    violation_ratio,
-)
+from repro.analysis.slo import prediction_accuracy, violation_ratio
 from repro.analysis.effectiveness import (
     EffectivenessBreakdown,
     MigrationClass,
@@ -22,8 +17,6 @@ from repro.analysis.validation import validate_simulator
 __all__ = [
     "LatencySummary",
     "summarize_latencies",
-    "SloPolicy",
-    "find_throughput_at_slo",
     "violation_ratio",
     "prediction_accuracy",
     "MigrationClass",

@@ -80,16 +80,6 @@ def summarize_latencies(requests: Sequence[Request]) -> LatencySummary:
     )
 
 
-def percentile(requests: Sequence[Request], q: float) -> float:
-    """One latency percentile (ns) over completed requests."""
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile must be in [0,100], got {q}")
-    lat = latencies_of(requests)
-    if lat.size == 0:
-        raise ValueError("no completed requests to summarize")
-    return float(np.percentile(lat, q))
-
-
 def achieved_throughput_rps(requests: Sequence[Request]) -> float:
     """Completed requests per second over the span of the run."""
     count = 0

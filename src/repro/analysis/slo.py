@@ -1,49 +1,19 @@
-"""SLO accounting: violation ratios, throughput@SLO, prediction accuracy.
+"""SLO accounting: violation ratios and prediction accuracy.
 
-* **throughput@SLO** (Sec. II-A): the highest offered load whose
-  measured 99th-percentile latency stays within the SLO target --
-  located by sweeping a load grid (the experiment harness supplies the
-  run function).
 * **prediction accuracy** (Secs. IV, VIII-E): correctly predicted SLO
   violations over total SLO violations.  With migrations active, a
   "violation" means *would have violated without intervention*: either
   it actually violated, or its no-migration counterfactual does.
+
+Throughput@SLO (Sec. II-A) is read off a load sweep by
+:func:`repro.experiments.common.throughput_at_slo`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Set, Tuple
+from typing import Iterable, Sequence, Set
 
-from repro.analysis.metrics import percentile
 from repro.workload.request import Request
-
-
-@dataclass(frozen=True)
-class SloPolicy:
-    """An SLO: latency target at a percentile (default p99, per paper)."""
-
-    target_ns: float
-    percentile: float = 99.0
-
-    def __post_init__(self) -> None:
-        if self.target_ns <= 0:
-            raise ValueError(f"SLO target must be positive, got {self.target_ns}")
-        if not 0 < self.percentile < 100:
-            raise ValueError(
-                f"percentile must be in (0,100), got {self.percentile}"
-            )
-
-    @staticmethod
-    def from_multiplier(mean_service_ns: float, multiplier: float = 10.0) -> "SloPolicy":
-        """The paper's default: p99 target of ``L x`` mean service time."""
-        if mean_service_ns <= 0 or multiplier <= 0:
-            raise ValueError("mean service and multiplier must be positive")
-        return SloPolicy(target_ns=mean_service_ns * multiplier)
-
-    def met_by(self, requests: Sequence[Request]) -> bool:
-        """Does the population's tail satisfy the SLO?"""
-        return percentile(requests, self.percentile) <= self.target_ns
 
 
 def violation_ratio(requests: Iterable[Request], slo_ns: float) -> float:
@@ -98,31 +68,3 @@ def prediction_accuracy(
     caught = len(violators & predicted_ids)
     return caught / len(violators)
 
-
-def find_throughput_at_slo(
-    run_at_load: Callable[[float], Sequence[Request]],
-    slo: SloPolicy,
-    loads: Sequence[float],
-) -> Tuple[float, dict]:
-    """Sweep ``loads`` (ascending offered rates, requests/s) and return
-    the largest one meeting the SLO, plus the per-load p99 map.
-
-    ``run_at_load(rate_rps)`` executes one simulation and returns its
-    measured requests.  The sweep runs every point (no early exit) so
-    callers can plot the full latency-throughput curve, exactly like the
-    Fig. 10 axes.
-    """
-    if not loads:
-        raise ValueError("need at least one load point")
-    best = 0.0
-    curve: dict = {}
-    for rate in loads:
-        requests = run_at_load(rate)
-        if not any(r.completed for r in requests):
-            curve[rate] = float("inf")
-            continue
-        p = percentile(requests, slo.percentile)
-        curve[rate] = p
-        if p <= slo.target_ns and rate > best:
-            best = rate
-    return best, curve

@@ -29,10 +29,12 @@ def format_table(
 ) -> str:
     """Render an aligned monospace table.
 
-    >>> print(format_table(["a", "b"], [[1, 2.5]], precision=1))
-    a | b
-    --+----
-    1 | 2.5
+    Cells are left-aligned and padded to their column's width:
+
+    >>> print(format_table(["n", "mean"], [[1, 2.25]]))
+    n | mean
+    --+-----
+    1 | 2.25
     """
     rendered: List[List[str]] = [[_cell(v, precision) for v in row] for row in rows]
     widths = [len(h) for h in headers]

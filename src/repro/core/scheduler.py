@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush, heapreplace
-from typing import Any, Callable, Deque, List, Optional, Set, Tuple
+from typing import Any, Deque, List, Optional, Set, Tuple
 
 from repro.core.config import AltocumulusConfig
 from repro.core.interface import HwInterface
@@ -79,7 +79,6 @@ class AltocumulusSystem(RpcSystem):
         streams: RandomStreams,
         config: AltocumulusConfig,
         constants: HwConstants = DEFAULT_CONSTANTS,
-        execution_penalty: Optional[Callable[[Request], float]] = None,
     ) -> None:
         delivery = (
             PcieDelivery(constants)
@@ -89,7 +88,6 @@ class AltocumulusSystem(RpcSystem):
         super().__init__(sim, streams, config.n_cores, delivery, constants)
         self.config = config
         self.name = f"ac_{config.variant}_{config.interface}"
-        self.execution_penalty = execution_penalty
 
         g = config.n_groups
         self.topology = MeshTopology(config.n_cores)
@@ -353,10 +351,7 @@ class AltocumulusSystem(RpcSystem):
         trace = self.trace
         if trace.enabled and trace.sampled(request.req_id):
             trace.mark(request.req_id, "service", self.sim.now)
-        startup = 0.0
-        if self.execution_penalty is not None:
-            startup = self.execution_penalty(request)
-        core.assign(request, startup_ns=startup)
+        core.assign(request, startup_ns=self._execute_ns(request))
 
     def _after_complete(self, core: Core, request: Request) -> None:
         core_id = core.core_id

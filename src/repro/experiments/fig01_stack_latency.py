@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.experiments.common import ExperimentResult, scaled
 from repro.hw.nic import PcieDelivery
 from repro.runner import PointSpec, ref, run_points
-from repro.stack import erpc_stack, nanorpc_stack, tcpip_stack
+from repro.stack import STACKS
 from repro.schedulers.centralized import ShinjukuSystem
 from repro.schedulers.jbsq import nebula
 from repro.schedulers.work_stealing import ZygosSystem
@@ -49,23 +49,24 @@ def _nanorpc_builder(sim, streams):
     return nebula(sim, streams, 16)
 
 
-#: (stack profile, core load, system builder).  Processing costs come
-#: from the composable stack models of :mod:`repro.stack`, evaluated at
-#: the figure's 300 B request / 64 B response point.  Kernel stacks run
-#: at low utilization (0.3) to bound latency.
-_STACKS = [
-    (tcpip_stack(), 0.3, _tcpip_builder),
-    (erpc_stack(), 0.5, _erpc_builder),
-    (nanorpc_stack(), 0.5, _nanorpc_builder),
-]
+#: Stack name -> (core load, system builder).  Processing costs come
+#: from :data:`repro.stack.STACKS` at the figure's 300 B request / 64 B
+#: response point.  Kernel stacks run at low utilization (0.3) to bound
+#: latency.
+_SYSTEMS = {
+    "tcpip": (0.3, _tcpip_builder),
+    "erpc": (0.5, _erpc_builder),
+    "nanorpc": (0.5, _nanorpc_builder),
+}
 
 
 def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     """Regenerate Fig. 1 (processing vs scheduling split)."""
     n_requests = scaled(30_000, scale)
+    processing = {name: stack_ns() for name, stack_ns in STACKS.items()}
     specs = []
-    for profile, load, builder in _STACKS:
-        processing_ns = profile.processing_ns()
+    for name, processing_ns in processing.items():
+        load, builder = _SYSTEMS[name]
         specs.append(
             PointSpec(
                 builder=ref(builder),
@@ -73,14 +74,12 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
                 rate_rps=load * 16 / processing_ns * 1e9,
                 n_requests=n_requests,
                 seed=seed,
-                tag=profile.name,
+                tag=name,
             )
         )
     results = run_points(specs, label="fig01")
     rows = []
-    for (profile, load, _builder), result in zip(_STACKS, results):
-        name = profile.name
-        processing_ns = profile.processing_ns()
+    for (name, processing_ns), result in zip(processing.items(), results):
         mean_latency = result.latency.mean
         scheduling_ns = max(0.0, mean_latency - processing_ns)
         rows.append(

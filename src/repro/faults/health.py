@@ -54,15 +54,10 @@ class HealthView:
 
     impaired = False  # becomes an instance attribute on first fault
 
-    def __init__(
-        self,
-        n_servers: int,
-        degraded_penalty: float = DEFAULT_DEGRADED_PENALTY,
-    ) -> None:
+    def __init__(self, n_servers: int) -> None:
         if n_servers <= 0:
             raise ValueError(f"need at least one server, got {n_servers}")
         self.n_servers = int(n_servers)
-        self.degraded_penalty = float(degraded_penalty)
         self._down: List[bool] = [False] * self.n_servers
         self._degraded: List[int] = [0] * self.n_servers
 
@@ -90,17 +85,6 @@ class HealthView:
         self.impaired = any(self._down) or any(self._degraded)
 
     # ------------------------------------------------------------------
-    # Control-plane write side
-    # ------------------------------------------------------------------
-    def set_degraded_penalty(self, penalty: float) -> None:
-        """Retune the degradation handicap mid-run (the control plane's
-        health-staleness knob: every subsequent :meth:`penalty` read
-        reflects the new value immediately)."""
-        if penalty < 0:
-            raise ValueError(f"penalty must be >= 0, got {penalty}")
-        self.degraded_penalty = float(penalty)
-
-    # ------------------------------------------------------------------
     # Policy read side
     # ------------------------------------------------------------------
     def usable(self, server: int) -> bool:
@@ -115,7 +99,7 @@ class HealthView:
 
     def penalty(self, server: int) -> float:
         """Load-units handicap for ``server`` in shortest-queue scans."""
-        return self.degraded_penalty if self._degraded[server] else 0.0
+        return DEFAULT_DEGRADED_PENALTY if self._degraded[server] else 0.0
 
     def usable_servers(self) -> List[int]:
         return [s for s in range(self.n_servers) if not self._down[s]]

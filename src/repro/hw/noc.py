@@ -6,8 +6,8 @@ model charges:
 
 * per-hop latency (3 ns default) times the XY hop count, plus
 * serialization of the message's flits at the injection port, plus
-* optional endpoint congestion -- each receiver drains messages one at a
-  time, so bursts of migrations toward one manager queue up.
+* endpoint congestion -- each receiver drains messages one at a time,
+  so bursts of migrations toward one manager queue up.
 
 Because the paper observes the NoC is lightly loaded for scheduling
 traffic [58], link-level contention is *not* modelled; endpoint
@@ -17,7 +17,6 @@ serialization captures the only congestion the protocol can create
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -28,6 +27,9 @@ from repro.telemetry import MetricRegistry, trace_sink
 
 #: Width of one NoC flit in bytes (typical 128-bit links).
 FLIT_BYTES = 16
+
+#: Serialization time of one flit (one flit per cycle at 1 GHz).
+FLIT_NS = 1.0
 
 #: Messages are allocated once per MIGRATE/ACK/NACK, which at tick
 #: rates means tens of thousands per run -- slotted where the runtime
@@ -44,13 +46,6 @@ class NocMessage:
     payload: Any
     size_bytes: int = FLIT_BYTES
     vnet: int = 0
-    injected_at: float = 0.0
-    delivered_at: Optional[float] = None
-
-    @property
-    def flits(self) -> int:
-        """Number of flits the message occupies (header rides in flit 0)."""
-        return max(1, math.ceil(self.size_bytes / FLIT_BYTES))
 
 
 class Noc:
@@ -61,19 +56,14 @@ class Noc:
         sim: Simulator,
         topology: MeshTopology,
         per_hop_ns: float = 3.0,
-        flit_ns: float = 1.0,
-        endpoint_serialization: bool = True,
         link_contention: bool = False,
         registry: Optional[MetricRegistry] = None,
-        metrics_prefix: str = "noc",
     ) -> None:
-        if per_hop_ns < 0 or flit_ns < 0:
+        if per_hop_ns < 0:
             raise ValueError("latencies must be non-negative")
         self.sim = sim
         self.topology = topology
         self.per_hop_ns = float(per_hop_ns)
-        self.flit_ns = float(flit_ns)
-        self.endpoint_serialization = endpoint_serialization
         #: Optional higher-fidelity mode: serialize messages on each
         #: XY-route link, not just the ejection port.  Off by default
         #: because scheduling traffic leaves the NoC lightly loaded
@@ -83,13 +73,12 @@ class Noc:
         # ``value`` attribute costs the same to bump as the old
         # dataclass fields); a standalone NoC gets a private registry.
         self.registry = registry if registry is not None else MetricRegistry()
-        p = metrics_prefix
-        self._m_messages = self.registry.counter(f"{p}.messages")
-        self._m_bytes = self.registry.counter(f"{p}.bytes")
-        self._m_latency = self.registry.counter(f"{p}.latency_ns_total")
+        self._m_messages = self.registry.counter("noc.messages")
+        self._m_bytes = self.registry.counter("noc.bytes")
+        self._m_latency = self.registry.counter("noc.latency_ns_total")
         self._by_vnet: Dict[int, int] = {}
         self.registry.gauge(
-            f"{p}.by_vnet",
+            "noc.by_vnet",
             fn=lambda: {str(v): n for v, n in sorted(self._by_vnet.items())},
         )
         self._trace = trace_sink()
@@ -100,11 +89,6 @@ class Noc:
         # Deferred sends and the callback that accounts them (defer()).
         self._pending: Sequence[Any] = ()
         self._settle: Callable[[], None] = lambda: None
-
-    def latency(self, msg: NocMessage) -> float:
-        """Uncontended wire latency for a message."""
-        hops = self.topology.hops(msg.src, msg.dst)
-        return hops * self.per_hop_ns + msg.flits * self.flit_ns
 
     def wire_times(
         self, src: int, dst: int, size_bytes: int
@@ -117,7 +101,7 @@ class Noc:
         ceil is exact for byte counts.
         """
         hop_ns = self.topology.hops(src, dst) * self.per_hop_ns
-        flit_time = max(1, -(-size_bytes // FLIT_BYTES)) * self.flit_ns
+        flit_time = max(1, -(-size_bytes // FLIT_BYTES)) * FLIT_NS
         return hop_ns, flit_time
 
     def transmit(
@@ -180,12 +164,11 @@ class Noc:
         occupancy, the ``noc.*`` counters and the trace spans -- and
         each message is accounted exactly as if injected alone at its
         ``time``, in order: the float latency total gets one addition
-        per message.  If endpoint serialization is enabled and a
-        destination's ejection port is still draining an earlier
-        message, that arrival is pushed back accordingly.
+        per message.  If a destination's ejection port is still
+        draining an earlier message, that arrival is pushed back
+        accordingly.
         """
         contended = self.link_contention
-        serialized = self.endpoint_serialization
         ejection_free = self._ejection_free
         free_of = ejection_free.get
         trace = self._trace
@@ -201,12 +184,11 @@ class Noc:
                     arrival = self._contended_arrival(src, dst, flit_time, time)
                 else:
                     arrival = time + hop_ns + flit_time
-                if serialized:
-                    free_at = free_of(dst, 0.0)
-                    if free_at > arrival:
-                        arrival = free_at
-                    # The ejection port is busy for the message's flit time.
-                    ejection_free[dst] = arrival + flit_time
+                free_at = free_of(dst, 0.0)
+                if free_at > arrival:
+                    arrival = free_at
+                # The ejection port is busy for the message's flit time.
+                ejection_free[dst] = arrival + flit_time
                 latency += arrival - time
                 if tracing:
                     trace.span("noc", dst, f"vnet{vnet}", time, arrival)
@@ -242,7 +224,6 @@ class Noc:
 
         Returns the scheduled delivery time (see :meth:`transmit`).
         """
-        msg.injected_at = self.sim.now
         src = msg.src
         dst = msg.dst
         size_bytes = msg.size_bytes
@@ -250,7 +231,6 @@ class Noc:
         arrival = self.transmit(
             src, dst, size_bytes, msg.vnet, hop_ns, flit_time
         )
-        msg.delivered_at = arrival
         self.sim.schedule_at(arrival, on_delivery, msg)
         return arrival
 

@@ -333,7 +333,7 @@ class MicaWorkload:
         request.remaining = service
 
     # ------------------------------------------------------------------
-    # Execution hook (AltocumulusSystem.execution_penalty compatible)
+    # Execution hook (RpcSystem.execute: charged when a request starts)
     # ------------------------------------------------------------------
     def executor_for(self, group_offset: int) -> Callable[[Request], float]:
         """An ``execute`` hook whose leaf occupies the global group-id

@@ -13,16 +13,15 @@ seed:
   ``request_factory`` feeds the load generator and whose ``execute``
   hook runs ops against the store.
 
-Leaf discovery handles every tier: a bare :class:`AltocumulusSystem`
-gets the hook as ``execution_penalty`` (admission waits and remote-
-owner penalties charge real on-core latency); rack and datacenter
-fabrics get one hook per leaf server (Altocumulus leaves via
-``execution_penalty``, anything else via ``completion_hooks``), all
-sharing the one store and ownership table so cross-server contention on
-a hot partition is observed by everyone.  On multi-leaf fabrics each
-leaf's manager groups occupy a distinct global group-id range so the
-per-partition invariant audits (EREW: one group ever touches a
-partition) remain meaningful across servers.
+Leaf discovery handles every tier: a bare server gets the hook as its
+``execute`` (admission waits and remote-owner penalties charge real
+on-core latency when a request starts, on every scheduler); rack and
+datacenter fabrics get one hook per leaf server, all sharing the one
+store and ownership table so cross-server contention on a hot partition
+is observed by everyone.  On multi-leaf fabrics each leaf's manager
+groups occupy a distinct global group-id range so the per-partition
+invariant audits (EREW: one group ever touches a partition) remain
+meaningful across servers.
 """
 
 from __future__ import annotations
@@ -55,17 +54,14 @@ def _leaves(system) -> List[Tuple[object, int]]:
 
 def attach_executor(leaf, executor: Callable) -> None:
     """Hook a KVS ``executor`` (:meth:`MicaWorkload.execute`) into one
-    server: an Altocumulus server's ``execution_penalty``, any other
-    scheduler's ``completion_hooks``."""
-    if isinstance(leaf, AltocumulusSystem):
-        if leaf.execution_penalty is not None:
-            raise ValueError(
-                "system already has an execution_penalty hook; cannot "
-                "wire a KvsSpec on top of an existing workload"
-            )
-        leaf.execution_penalty = executor
-    else:
-        leaf.completion_hooks.append(executor)
+    server as its ``execute`` hook, which every scheduler charges when a
+    request starts."""
+    if leaf.execute is not None:
+        raise ValueError(
+            "system already has an execute hook; cannot wire a KvsSpec "
+            "on top of an existing workload"
+        )
+    leaf.execute = executor
 
 
 def wire_kvs(system, sim, spec: KvsSpec, seed: int) -> MicaWorkload:

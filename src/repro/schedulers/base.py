@@ -25,7 +25,7 @@ attribute check.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.hw.constants import DEFAULT_CONSTANTS, HwConstants
 from repro.hw.cores import Core
@@ -120,8 +120,12 @@ class RpcSystem(abc.ABC):
         self._latency_hist = self.metrics.histogram("system.latency_ns")
         self.finished_requests: List[Request] = []
         self._expected: Optional[int] = None
-        #: Called with each completing request (application execution for
-        #: systems without an in-band execution hook).
+        #: Application execution (e.g. a KVS op against its store), run
+        #: when a request first starts on a core; its return value is
+        #: extra on-core latency (admission waits, remote-owner
+        #: penalties).  Charged through :meth:`_execute_ns`.
+        self.execute: Optional[Callable[[Request], float]] = None
+        #: Called with each completing request.
         self.completion_hooks: List = []
         #: Called with each dropped request (bounded-queue overflow).
         #: The cluster tier uses this to observe per-server terminations
@@ -218,6 +222,18 @@ class RpcSystem(abc.ABC):
         """Record one scheduling operation of the given cost."""
         self.stats.scheduling_ops += 1
         self.stats.scheduling_ns += ns
+
+    def _execute_ns(self, request: Request) -> float:
+        """On-core ns the :attr:`execute` hook charges ``request``.
+
+        Every scheduler's start path adds this to the ``startup_ns`` it
+        passes to :meth:`Core.assign`.  The hook runs once, at the first
+        start; a preempted request's later slices pay nothing.
+        """
+        execute = self.execute
+        if execute is None or request.started is not None:
+            return 0.0
+        return execute(request)
 
     def utilization(self, elapsed_ns: float) -> float:
         """Mean core utilization over ``elapsed_ns``."""

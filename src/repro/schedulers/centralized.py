@@ -87,6 +87,7 @@ class ShinjukuSystem(RpcSystem):
         else:
             worker.assign(
                 request,
+                startup_ns=self._execute_ns(request),
                 quantum_ns=self.quantum_ns,
                 switch_overhead_ns=self.switch_overhead_ns,
             )

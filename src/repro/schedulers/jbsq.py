@@ -167,7 +167,7 @@ class JbsqSystem(RpcSystem):
     def _start(self, core: Core, request: Request) -> None:
         core.assign(
             request,
-            startup_ns=self.startup_overhead_ns,
+            startup_ns=self.startup_overhead_ns + self._execute_ns(request),
             quantum_ns=self.quantum_ns,
             switch_overhead_ns=self.switch_overhead_ns,
         )

@@ -63,7 +63,7 @@ class RssSystem(RpcSystem):
         overhead = self.per_request_overhead_ns
         if overhead:
             self._charge_scheduling(overhead)
-        core.assign(request, startup_ns=overhead)
+        core.assign(request, startup_ns=overhead + self._execute_ns(request))
 
     def _after_complete(self, core: Core, request: Request) -> None:
         queue = self.queues[core.core_id]
@@ -127,4 +127,8 @@ class IxSystem(RssSystem):
         self._batch_left[idx] -= 1
         # Per-request dataplane stack work rides on top of the amortized
         # batch entry cost.
-        core.assign(request, startup_ns=startup + self.per_request_overhead_ns)
+        core.assign(
+            request,
+            startup_ns=startup + self.per_request_overhead_ns
+            + self._execute_ns(request),
+        )

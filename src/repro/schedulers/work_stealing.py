@@ -144,7 +144,11 @@ class ZygosSystem(RssSystem):
             self._charge_scheduling(cost)
             # A stolen request still pays the dataplane's per-request
             # stack work on the thief core.
-            thief.assign(request, startup_ns=cost + self.per_request_overhead_ns)
+            thief.assign(
+                request,
+                startup_ns=cost + self.per_request_overhead_ns
+                + self._execute_ns(request),
+            )
             return
         self._idle |= 1 << thief.core_id
         if probes_left > 1:

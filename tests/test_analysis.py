@@ -14,13 +14,10 @@ from repro.analysis.effectiveness import (
 from repro.analysis.metrics import (
     LatencySummary,
     achieved_throughput_rps,
-    percentile,
     summarize_latencies,
 )
 from repro.analysis.slo import (
-    SloPolicy,
     counterfactual_violators,
-    find_throughput_at_slo,
     prediction_accuracy,
     violation_ratio,
 )
@@ -54,12 +51,6 @@ class TestMetrics:
         summary = summarize_latencies(reqs + [dropped])
         assert summary.count == 1
 
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            percentile([finished(0, 0.0, 1.0)], 150)
-        with pytest.raises(ValueError):
-            percentile([], 99)
-
     def test_achieved_throughput(self):
         # 10 requests over 900 ns of arrivals + 100 ns service tail.
         reqs = [finished(i, i * 100.0, 100.0) for i in range(10)]
@@ -72,17 +63,6 @@ class TestMetrics:
 
 
 class TestSlo:
-    def test_policy_from_multiplier(self):
-        policy = SloPolicy.from_multiplier(850.0, 10.0)
-        assert policy.target_ns == 8_500.0
-        assert policy.percentile == 99.0
-
-    def test_met_by(self):
-        reqs = [finished(i, 0.0, 100.0) for i in range(99)]
-        reqs.append(finished(99, 0.0, 10_000.0))
-        assert SloPolicy(10_000.0).met_by(reqs)
-        assert not SloPolicy(50.0).met_by(reqs)
-
     def test_violation_ratio(self):
         reqs = [finished(i, 0.0, 100.0 if i < 8 else 9_999.0)
                 for i in range(10)]
@@ -108,22 +88,6 @@ class TestSlo:
     def test_accuracy_vacuous_when_no_violations(self):
         reqs = [finished(0, 0.0, 10.0)]
         assert prediction_accuracy(reqs, set(), 1_000.0) == 1.0
-
-    def test_find_throughput_at_slo(self):
-        def run(rate):
-            latency = 100.0 if rate < 3.5 else 10_000.0
-            return [finished(i, 0.0, latency) for i in range(10)]
-
-        best, curve = find_throughput_at_slo(run, SloPolicy(1_000.0),
-                                             [1.0, 2.0, 3.0, 4.0])
-        assert best == 3.0
-        assert curve[4.0] == 10_000.0
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SloPolicy(0.0)
-        with pytest.raises(ValueError):
-            SloPolicy(1.0, percentile=100.0)
 
 
 class TestEffectiveness:

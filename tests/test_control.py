@@ -25,7 +25,7 @@ from repro.control.actuators import MIN_SAMPLE_PERIOD_NS, Actuators
 from repro.core.config import AltocumulusConfig
 from repro.core.scheduler import AltocumulusSystem
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
-from repro.faults.health import HealthView
+from repro.faults.health import DEFAULT_DEGRADED_PENALTY, HealthView
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry import MetricRegistry
@@ -144,15 +144,13 @@ class TestRuntimeKnobs:
         # The re-armed timer keeps sampling at the faster cadence.
         assert policy.samples_taken > before["samples"]
 
-    def test_health_penalty_mutates_mid_run(self):
+    def test_health_penalty_is_the_default(self):
+        """The degradation handicap is no runtime knob: a degraded server
+        carries the default penalty until its window closes."""
         health = HealthView(4)
         health.add_degraded(1)
-        baseline = health.penalty(1)
-        assert baseline > 0
-        health.set_degraded_penalty(baseline * 2)
-        assert health.penalty(1) == baseline * 2
-        with pytest.raises(ValueError):
-            health.set_degraded_penalty(-1.0)
+        assert health.penalty(1) == DEFAULT_DEGRADED_PENALTY > 0
+        assert health.penalty(0) == 0.0
         health.remove_degraded(1)
         assert health.penalty(1) == 0.0
 

@@ -175,7 +175,7 @@ class TestVariants:
             rt.ticks for rt in isa.runtimes
         )
 
-    def test_execution_penalty_applied(self, sim, streams):
+    def test_execute_hook_applied(self, sim, streams):
         calls = []
 
         def penalty(request):
@@ -183,8 +183,8 @@ class TestVariants:
             return 100.0
 
         config = AltocumulusConfig(n_groups=2, group_size=4)
-        system = AltocumulusSystem(sim, streams, config,
-                                   execution_penalty=penalty)
+        system = AltocumulusSystem(sim, streams, config)
+        system.execute = penalty
         result = run_system(system, sim, streams, n=50, rate_rps=1e5)
         assert len(calls) == 50
         assert result.latency.p50 > 1_100.0  # penalty visible in latency

@@ -112,14 +112,14 @@ class TestHookFailures:
         with pytest.raises(RuntimeError, match="app bug"):
             sim.run(until=10**9)
 
-    def test_execution_penalty_exception_propagates(self, sim, streams):
+    def test_execute_hook_exception_propagates(self, sim, streams):
         config = AltocumulusConfig(n_groups=2, group_size=4)
 
         def bad_penalty(request):
             raise ValueError("penalty bug")
 
-        system = AltocumulusSystem(sim, streams, config,
-                                   execution_penalty=bad_penalty)
+        system = AltocumulusSystem(sim, streams, config)
+        system.execute = bad_penalty
         system.offer(make_request())
         with pytest.raises(ValueError, match="penalty bug"):
             sim.run(until=10**9)

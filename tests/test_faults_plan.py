@@ -8,6 +8,7 @@ import pytest
 
 from repro.faults import (
     ALL_HEALTHY,
+    DEFAULT_DEGRADED_PENALTY,
     FAULT_KINDS,
     FaultEvent,
     FaultPlan,
@@ -150,11 +151,11 @@ class TestHealthView:
         assert health.usable(1)
 
     def test_degraded_nests(self):
-        health = HealthView(2, degraded_penalty=5.0)
+        health = HealthView(2)
         health.add_degraded(0)
         health.add_degraded(0)
         assert health.impaired and health.degraded(0)
-        assert health.penalty(0) == 5.0
+        assert health.penalty(0) == DEFAULT_DEGRADED_PENALTY
         assert health.usable(0)  # degraded is usable, just penalized
         health.remove_degraded(0)
         assert health.degraded(0)  # one layer still active

@@ -7,7 +7,7 @@ from repro.hw.topology import MeshTopology
 
 
 def make_noc(sim, **kwargs):
-    return Noc(sim, MeshTopology(16), per_hop_ns=3.0, flit_ns=1.0, **kwargs)
+    return Noc(sim, MeshTopology(16), per_hop_ns=3.0, **kwargs)
 
 
 def counters(noc):
@@ -18,17 +18,15 @@ def counters(noc):
 class TestLatency:
     def test_single_flit_latency(self, sim):
         noc = make_noc(sim)
-        msg = NocMessage(src=0, dst=1, payload=None, size_bytes=8)
-        assert noc.latency(msg) == 3.0 + 1.0  # 1 hop + 1 flit
+        assert sum(noc.wire_times(0, 1, 8)) == 3.0 + 1.0  # 1 hop + 1 flit
 
     def test_multi_flit_serialization(self, sim):
         noc = make_noc(sim)
-        msg = NocMessage(src=0, dst=15, payload=None, size_bytes=3 * FLIT_BYTES)
-        assert noc.latency(msg) == 6 * 3.0 + 3 * 1.0
+        assert sum(noc.wire_times(0, 15, 3 * FLIT_BYTES)) == 6 * 3.0 + 3 * 1.0
 
     def test_zero_byte_message_still_one_flit(self, sim):
-        msg = NocMessage(src=0, dst=1, payload=None, size_bytes=0)
-        assert msg.flits == 1
+        noc = make_noc(sim)
+        assert noc.wire_times(0, 1, 0)[1] == 1.0
 
     def test_invalid_latency_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -44,7 +42,7 @@ class TestDelivery:
         sim.run()
         assert arrived == [(4.0, "hello")]
 
-    def test_endpoint_serialization_delays_bursts(self, sim):
+    def test_ejection_port_delays_bursts(self, sim):
         noc = make_noc(sim)
         times = []
         for _ in range(3):
@@ -54,15 +52,6 @@ class TestDelivery:
         # Same wire latency, but the ejection port drains one flit at a
         # time, so deliveries are staggered.
         assert times[0] < times[1] < times[2]
-
-    def test_serialization_disabled(self, sim):
-        noc = make_noc(sim, endpoint_serialization=False)
-        times = []
-        for _ in range(3):
-            noc.send(NocMessage(src=0, dst=1, payload=None),
-                     lambda m: times.append(sim.now))
-        sim.run()
-        assert times == [4.0, 4.0, 4.0]
 
     def test_stats_accumulate(self, sim):
         noc = make_noc(sim)
@@ -81,10 +70,13 @@ class TestDelivery:
 class TestTransmit:
     def test_wire_times_match_latency(self, sim):
         noc = make_noc(sim)
-        msg = NocMessage(src=0, dst=15, payload=None, size_bytes=40)
         hop_ns, flit_time = noc.wire_times(0, 15, 40)
         assert (hop_ns, flit_time) == (6 * 3.0, 3 * 1.0)
-        assert hop_ns + flit_time == noc.latency(msg)
+        arrived = []
+        noc.send(NocMessage(src=0, dst=15, payload=None, size_bytes=40),
+                 lambda m: arrived.append(sim.now))
+        sim.run()
+        assert arrived == [hop_ns + flit_time]
 
     def test_transmit_accounts_like_send(self, sim):
         """A delivery-less transmit holds the ejection port and bumps
@@ -105,8 +97,7 @@ class TestTransmit:
         assert snap["noc.latency_ns_total"] == 4.0 + 5.0
 
     def test_transmit_under_link_contention(self, sim):
-        noc = make_noc(sim, endpoint_serialization=False,
-                       link_contention=True)
+        noc = make_noc(sim, link_contention=True)
         hop_ns, flit_time = noc.wire_times(0, 3, 64)
         first = noc.transmit(0, 3, 64, 0, hop_ns, flit_time)
         second = noc.transmit(0, 3, 64, 0, hop_ns, flit_time)
@@ -152,8 +143,7 @@ class TestLinkContention:
     def test_shared_link_serializes(self, sim):
         """Two messages crossing the same link arrive staggered when
         link contention is modelled."""
-        noc = make_noc(sim, endpoint_serialization=False,
-                       link_contention=True)
+        noc = make_noc(sim, link_contention=True)
         times = []
         # 0 -> 2 and 0 -> 3 share the 0->1 and 1->2 links in a 4x4 mesh.
         noc.send(NocMessage(src=0, dst=3, payload="a", size_bytes=64),
@@ -164,8 +154,7 @@ class TestLinkContention:
         assert times[0][1] < times[1][1]
 
     def test_disjoint_routes_do_not_interfere(self, sim):
-        noc = make_noc(sim, endpoint_serialization=False,
-                       link_contention=True)
+        noc = make_noc(sim, link_contention=True)
         times = {}
         noc.send(NocMessage(src=0, dst=1, payload=None),
                  lambda m: times.__setitem__("right", sim.now))
@@ -175,13 +164,12 @@ class TestLinkContention:
         assert times["right"] == times["left"]
 
     def test_uncontended_matches_analytic_latency(self, sim):
-        noc = make_noc(sim, endpoint_serialization=False,
-                       link_contention=True)
+        noc = make_noc(sim, link_contention=True)
         times = []
         msg = NocMessage(src=0, dst=2, payload=None, size_bytes=8)
         noc.send(msg, lambda m: times.append(sim.now))
         sim.run()
-        assert times[0] == noc.latency(msg)
+        assert times[0] == sum(noc.wire_times(0, 2, 8))
 
     def test_same_pair_fifo_order(self, sim):
         """Deterministic routing preserves per-pair ordering (Sec. V-B's

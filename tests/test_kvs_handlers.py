@@ -309,3 +309,21 @@ class TestDelete:
     def test_fraction_overflow_rejected(self, dataset):
         with pytest.raises(ValueError):
             make_workload(dataset, scan_fraction=0.6, delete_fraction=0.6)
+
+
+class TestExecuteHookOnEveryScheduler:
+    @pytest.mark.parametrize("system", ["rss", "zygos", "nebula", "cfcfs"])
+    def test_admission_wait_reaches_latency(self, system):
+        """A non-Altocumulus leaf under a waiting discipline charges each
+        admission wait as on-core startup: it shows in the requests'
+        ``extra_latency``, not only in ``kvs.ownership.wait_ns``."""
+        from repro.api import quick_run
+        from repro.kvs.ownership import KvsSpec
+
+        result = quick_run(system, n_cores=16, rate_rps=8e6,
+                           mean_service_ns=100, n_requests=3_000,
+                           kvs=KvsSpec(mode="erew", mix="hot_key"))
+        wait_ns = result.metrics["kvs.ownership.wait_ns"]
+        assert wait_ns > 0
+        charged = sum(r.extra_latency for r in result.system.finished_requests)
+        assert charged >= wait_ns - 1e-6

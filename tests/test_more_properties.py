@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import AltocumulusConfig
 from repro.core.prediction import ThresholdModel, erlang_c, upper_bound_threshold
-from repro.stack.profiles import erpc_stack, nanorpc_stack, tcpip_stack
+from repro.stack import STACKS
 from repro.workload.arrivals import MMPPArrivals
 
 
@@ -71,11 +71,11 @@ def test_mmpp_feasibility_boundary(rate_mrps, burst, calm, dwell, batch):
     extra=st.integers(1, 1 << 12),
 )
 def test_stack_costs_monotone_in_message_size(req, resp, extra):
-    """Bigger messages never get cheaper, for every profile."""
-    for profile in (tcpip_stack(), erpc_stack(), nanorpc_stack()):
-        base = profile.processing_ns(req, resp)
-        assert profile.processing_ns(req + extra, resp) >= base
-        assert profile.processing_ns(req, resp + extra) >= base
+    """Bigger messages never get cheaper, for every stack."""
+    for stack_ns in STACKS.values():
+        base = stack_ns(req, resp)
+        assert stack_ns(req + extra, resp) >= base
+        assert stack_ns(req, resp + extra) >= base
 
 
 @settings(max_examples=80, deadline=None)

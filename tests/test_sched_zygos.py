@@ -158,7 +158,11 @@ class _ScanZygos(ZygosSystem):
             self.steal_hits += 1
             cost = self.coherence.steal_ns(self._steal_rng)
             self._charge_scheduling(cost)
-            thief.assign(request, startup_ns=cost + self.per_request_overhead_ns)
+            thief.assign(
+                request,
+                startup_ns=cost + self.per_request_overhead_ns
+                + self._execute_ns(request),
+            )
             return
         if probes_left > 1:
             self._begin_probe(thief, probes_left - 1)

@@ -1,149 +1,78 @@
-"""Unit tests for the RPC stack processing models."""
+"""Unit tests for the RPC stack processing costs (Fig. 1's bars).
+
+``data/stack_golden.json`` holds every stack's cost over a grid of
+request x response sizes, captured from the earlier composable
+transport/serializer/RPC-layer models (a checkout of commit 1180b90)
+with::
+
+    PYTHONPATH=src python -c "import json; from repro.stack import tcpip_stack, erpc_stack, nanorpc_stack; S=[0,1,8,63,64,100,300,1459,1460,1461,2920,2921,4096,65536]; print(json.dumps({'sizes': S, **{p.name: [[p.processing_ns(q, r) for r in S] for q in S] for p in (tcpip_stack(), erpc_stack(), nanorpc_stack())}}, indent=1))" > tests/data/stack_golden.json
+
+The plain functions must reproduce it exactly (``==``), so fig01 and
+everything downstream of it keep their values.
+"""
+
+import json
+import os
 
 import pytest
 
-from repro.stack.profiles import (
-    FIG1_REQUEST_BYTES,
-    erpc_stack,
-    nanorpc_stack,
-    tcpip_stack,
-)
-from repro.stack.rpc_layer import RpcLayerModel
-from repro.stack.serialization import (
-    FieldKind,
-    FlatSerializer,
-    MessageField,
-    MessageSchema,
-    ProtobufLikeSerializer,
-    ZeroCopySerializer,
-)
-from repro.stack.transport import (
-    HardwareTerminatedTransport,
-    KernelBypassTransport,
-    KernelTcpTransport,
-)
+from repro.stack import STACKS, erpc_ns, nanorpc_ns, tcpip_ns
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "stack_golden.json")
+
+
+@pytest.mark.parametrize("name", list(STACKS))
+def test_matches_golden_exactly(name):
+    with open(GOLDEN) as handle:
+        golden = json.load(handle)
+    sizes = golden["sizes"]
+    stack_ns = STACKS[name]
+    got = [[stack_ns(req, resp) for resp in sizes] for req in sizes]
+    assert got == golden[name]
 
 
 class TestTransports:
     def test_generation_ordering(self):
         """Each stack generation is at least 10x cheaper than the last."""
-        size = FIG1_REQUEST_BYTES
-        tcp = KernelTcpTransport().rx_ns(size)
-        bypass = KernelBypassTransport().rx_ns(size)
-        hw = HardwareTerminatedTransport().rx_ns(size)
-        assert tcp > 10 * bypass > 100 * hw
+        assert tcpip_ns() > 10 * erpc_ns() > 100 * nanorpc_ns()
 
     def test_cost_monotone_in_size(self):
-        for transport in (KernelTcpTransport(), KernelBypassTransport(),
-                          HardwareTerminatedTransport()):
-            sizes = [0, 64, 300, 1460, 4096, 64_000]
-            costs = [transport.rx_ns(s) for s in sizes]
+        sizes = [0, 64, 300, 1460, 4096, 64_000]
+        for stack_ns in STACKS.values():
+            costs = [stack_ns(s, 64) for s in sizes]
             assert costs == sorted(costs)
 
     def test_segmentation_kicks_in_past_mtu(self):
-        tcp = KernelTcpTransport()
-        one_packet = tcp.rx_ns(1_000)
-        two_packets = tcp.rx_ns(2_000)
-        assert two_packets - one_packet > tcp.per_packet_ns * 0.9
+        """A 1461 B message needs a second 1460 B MTU packet: a step far
+        larger than one byte's copy cost, on either direction."""
+        for stack_ns in (tcpip_ns, erpc_ns):
+            per_byte = stack_ns(1460, 64) - stack_ns(1459, 64)
+            assert stack_ns(1461, 64) - stack_ns(1460, 64) > 100 * per_byte
+            assert stack_ns(300, 1461) - stack_ns(300, 1460) > 100 * per_byte
 
-    def test_round_trip_is_rx_plus_tx(self):
-        t = KernelBypassTransport()
-        assert t.round_trip_ns(300, 64) == pytest.approx(
-            t.rx_ns(300) + t.tx_ns(64)
-        )
+    def test_hardware_transport_has_no_mtu_step(self):
+        below = nanorpc_ns(1460, 64) - nanorpc_ns(1459, 64)
+        across = nanorpc_ns(1461, 64) - nanorpc_ns(1460, 64)
+        assert across == pytest.approx(below)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            KernelTcpTransport().rx_ns(-1)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            KernelTcpTransport(syscall_ns=-1.0)
-        with pytest.raises(ValueError):
-            KernelBypassTransport(mtu_bytes=0)
-
-
-class TestSchemas:
-    def test_blob_schema_shape(self):
-        schema = MessageSchema.blob("req", 300, header_fields=3)
-        assert schema.n_fields == 4
-        assert schema.wire_bytes == 3 * 8 + 300
-
-    def test_fixed_field_sizes(self):
-        schema = MessageSchema.of(
-            "m",
-            MessageField("a", FieldKind.INT32),
-            MessageField("b", FieldKind.INT64),
-            MessageField("c", FieldKind.FLOAT64),
-        )
-        assert schema.wire_bytes == 4 + 8 + 8
-
-    def test_negative_bytes_field_rejected(self):
-        bad = MessageField("p", FieldKind.BYTES, -5)
-        with pytest.raises(ValueError):
-            bad.wire_bytes()
-
-
-class TestSerializers:
-    SCHEMA = MessageSchema.blob("m", 300)
-
-    def test_protobuf_decode_dearer_than_encode(self):
-        ser = ProtobufLikeSerializer()
-        assert ser.deserialize_ns(self.SCHEMA) > ser.serialize_ns(self.SCHEMA)
-
-    def test_flat_cheaper_than_protobuf(self):
-        assert FlatSerializer().serialize_ns(self.SCHEMA) < (
-            ProtobufLikeSerializer().serialize_ns(self.SCHEMA)
-        )
-
-    def test_zero_copy_is_size_independent(self):
-        ser = ZeroCopySerializer()
-        big = MessageSchema.blob("big", 1 << 20)
-        assert ser.serialize_ns(self.SCHEMA) == ser.serialize_ns(big)
-
-    def test_flat_decode_is_in_place(self):
-        ser = FlatSerializer()
-        assert ser.deserialize_ns(self.SCHEMA) < ser.serialize_ns(self.SCHEMA)
-
-    def test_cost_validation(self):
-        with pytest.raises(ValueError):
-            ProtobufLikeSerializer(per_field_ns=-1.0)
-        with pytest.raises(ValueError):
-            ZeroCopySerializer(fixed_ns=-1.0)
-
-
-class TestRpcLayer:
-    def test_round_trip_composition(self):
-        layer = RpcLayerModel(serializer=FlatSerializer())
-        req = MessageSchema.blob("req", 300)
-        resp = MessageSchema.blob("resp", 64)
-        assert layer.round_trip_ns(req, resp) == pytest.approx(
-            layer.request_ns(req) + layer.response_ns(resp)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RpcLayerModel(serializer=FlatSerializer(), header_parse_ns=-1.0)
+            tcpip_ns(-1)
 
 
 class TestProfiles:
     def test_fig1_bands(self):
-        """The composed profiles land in Fig. 1's processing bands."""
-        assert 10_000 <= tcpip_stack().processing_ns() <= 25_000
-        assert 700 <= erpc_stack().processing_ns() <= 1_000
-        assert 25 <= nanorpc_stack().processing_ns() <= 60
-
-    def test_breakdown_sums_to_total(self):
-        for profile in (tcpip_stack(), erpc_stack(), nanorpc_stack()):
-            split = profile.breakdown()
-            assert split["transport_ns"] + split["rpc_layer_ns"] == (
-                pytest.approx(profile.processing_ns())
-            )
+        """The three stacks land in Fig. 1's processing bands."""
+        assert 10_000 <= tcpip_ns() <= 25_000
+        assert 700 <= erpc_ns() <= 1_000
+        assert 25 <= nanorpc_ns() <= 60
 
     def test_larger_messages_cost_more(self):
-        profile = erpc_stack()
-        assert profile.processing_ns(4_096, 64) > profile.processing_ns(64, 64)
+        assert erpc_ns(4_096, 64) > erpc_ns(64, 64)
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
-            tcpip_stack().processing_ns(-1, 64)
+        for stack_ns in STACKS.values():
+            with pytest.raises(ValueError):
+                stack_ns(-1, 64)
+            with pytest.raises(ValueError):
+                stack_ns(300, -1)

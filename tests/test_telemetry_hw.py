@@ -22,35 +22,33 @@ class TestNocAccounting:
         assert mesh.hops(2, 2) == 0
 
         registry = MetricRegistry()
-        noc = Noc(sim, mesh, per_hop_ns=3.0, flit_ns=1.0,
-                  registry=registry)
+        noc = Noc(sim, mesh, per_hop_ns=3.0, registry=registry)
         done = []
         # 16 bytes = 1 flit, 2 hops: 2*3 + 1 = 7 ns.
         noc.send(NocMessage(src=0, dst=3, payload=None, size_bytes=16,
-                            vnet=1), done.append)
+                            vnet=1), lambda m: done.append(sim.now))
         # 32 bytes = 2 flits, 1 hop: 1*3 + 2 = 5 ns (different dst, so
         # no ejection-port interaction with the first message).
         noc.send(NocMessage(src=0, dst=1, payload=None, size_bytes=32,
-                            vnet=0), done.append)
+                            vnet=0), lambda m: done.append(sim.now))
         sim.run()
 
-        assert sorted(m.delivered_at for m in done) == [5.0, 7.0]
+        assert sorted(done) == [5.0, 7.0]
         snap = registry.snapshot()
         assert snap["noc.messages"] == 2
         assert snap["noc.bytes"] == 48
         assert snap["noc.latency_ns_total"] == 12.0
         assert snap["noc.by_vnet"] == {"0": 1, "1": 1}
 
-    def test_endpoint_serialization_charged_to_latency(self, sim):
+    def test_ejection_port_wait_charged_to_latency(self, sim):
         registry = MetricRegistry()
-        noc = Noc(sim, MeshTopology(4), per_hop_ns=3.0, flit_ns=1.0,
-                  registry=registry)
+        noc = Noc(sim, MeshTopology(4), per_hop_ns=3.0, registry=registry)
         done = []
         for _ in range(2):  # same dst: second waits out the first's flit
             noc.send(NocMessage(src=0, dst=3, payload=None, size_bytes=16),
-                     done.append)
+                     lambda m: done.append(sim.now))
         sim.run()
-        assert [m.delivered_at for m in done] == [7.0, 8.0]
+        assert done == [7.0, 8.0]
         assert registry.snapshot()["noc.latency_ns_total"] == 15.0
 
 
