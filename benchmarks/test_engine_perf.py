@@ -29,6 +29,27 @@ def test_event_heap_throughput(benchmark):
     assert events == 20_000
 
 
+def test_event_post_throughput(benchmark):
+    """Raw post/fire cost of the event kernel's handle-free path: the
+    same chain as ``test_event_heap_throughput`` through ``post``.
+    Ungated: tracked in the history only."""
+
+    def spin():
+        sim = Simulator()
+        count = 20_000
+
+        def chain(remaining):
+            if remaining:
+                sim.post(1.0, chain, remaining - 1)
+
+        chain(count)
+        sim.run()
+        return sim.events_processed
+
+    events = benchmark(spin)
+    assert events == 20_000
+
+
 def test_full_system_simulation_rate(benchmark):
     """Requests simulated per wall-second through the busiest system
     (Altocumulus with migrations active)."""

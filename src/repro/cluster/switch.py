@@ -225,7 +225,7 @@ class SwitchCore:
                 trace.mark(request.req_id, self.queue_mark, now)
                 trace.mark(request.req_id, self.tx_mark, start)
             trace.span(self.track, port, "tx", start, done)
-        self.sim.schedule(done - now, self._tx_done, request, port, deliver)
+        self.sim.post(done - now, self._tx_done, request, port, deliver)
         return True
 
     def _tx_done(self, request: Request, port: int, deliver: DeliverFn) -> None:
@@ -233,7 +233,7 @@ class SwitchCore:
         after the forwarding pipeline."""
         self._occupancy[port] -= 1
         self.forwarded += 1
-        self.sim.schedule(self.forward_latency_ns, deliver, request)
+        self.sim.post(self.forward_latency_ns, deliver, request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -259,7 +259,7 @@ class AltocumulusSystem(RpcSystem):
             self._charge_scheduling(delay)
             if tracing and trace.sampled(request.req_id):
                 trace.mark(request.req_id, "dispatch", self.sim.now)
-            self.sim.schedule(delay, self._arrive_at_worker, group, worker, request)
+            self.sim.post(delay, self._arrive_at_worker, group, worker, request)
 
     def _admit_gang(self, group: int, request: Request) -> bool:
         """Dispatch the group's head gang iff ``core_demand`` workers
@@ -292,7 +292,7 @@ class AltocumulusSystem(RpcSystem):
             self._charge_scheduling(delay)
             if trace.enabled and trace.sampled(member.req_id):
                 trace.mark(member.req_id, "dispatch", self.sim.now)
-            self.sim.schedule(
+            self.sim.post(
                 delay, self._arrive_at_worker, group, worker, member
             )
         return True

@@ -116,7 +116,7 @@ class FaultInjector:
 
         self._wrap_delivery()
         for event in plan.expanded_events():
-            sim.schedule_at(max(event.time_ns, sim.now), self._fire, event)
+            sim.post_at(max(event.time_ns, sim.now), self._fire, event)
 
     # ------------------------------------------------------------------
     # Ingress guards

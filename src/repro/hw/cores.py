@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.workload.request import Request
 
 CompleteFn = Callable[["Core", Request], None]
@@ -50,7 +50,6 @@ class Core:
         self.busy_ns: float = 0.0
         self.completed: int = 0
         self.preemptions: int = 0
-        self._event: Optional[Event] = None
         self._run_started: float = 0.0
 
     # ------------------------------------------------------------------
@@ -100,12 +99,8 @@ class Core:
             request.extra_latency += switch_overhead_ns
         if startup_ns:
             request.extra_latency += startup_ns
-        # A core's completion event is exclusively owned by the core (no
-        # scheduler cancels it), so the fired event from the previous
-        # slice is re-armed instead of allocating one per request.
-        self._event = self.sim.schedule_timer(
-            total, self._finish_slice, request, run, preempting, event=self._event
-        )
+        # Nothing cancels a core's completion, so it needs no handle.
+        self.sim.post(total, self._finish_slice, request, run, preempting)
 
     def _finish_slice(self, request: Request, ran_ns: float, preempted: bool) -> None:
         self.busy_ns += self.sim.now - self._run_started

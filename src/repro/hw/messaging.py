@@ -218,7 +218,7 @@ class ManagerTileHw:
         # The migrator reads req_num pointers from local MRs into the
         # send FIFO before injection (register-to-register movement).
         inject_delay = len(requests) * self.migrator_ns_per_entry
-        self.sim.schedule(
+        self.sim.post(
             inject_delay,
             self._inject,
             NocMessage(
@@ -326,7 +326,7 @@ class ManagerTileHw:
             return
         # The migrator drains the receive FIFO into the local MR file.
         drain = len(requests) * self.migrator_ns_per_entry
-        self.sim.schedule(drain, self._drain_into_mrs, payload)
+        self.sim.post(drain, self._drain_into_mrs, payload)
 
     def _drain_into_mrs(self, payload: _Payload) -> None:
         for _ in payload.requests:

@@ -231,7 +231,7 @@ class Noc:
         arrival = self.transmit(
             src, dst, size_bytes, msg.vnet, hop_ns, flit_time
         )
-        self.sim.schedule_at(arrival, on_delivery, msg)
+        self.sim.post_at(arrival, on_delivery, msg)
         return arrival
 
     def _contended_arrival(

@@ -142,7 +142,7 @@ class RpcSystem(abc.ABC):
         if trace.enabled and trace.sampled(request.req_id):
             trace.mark(request.req_id, "nic_delivery", self.sim.now)
         delay = self.delivery.delivery_ns(request)
-        self.sim.schedule(delay, self._deliver, request)
+        self.sim.post(delay, self._deliver, request)
 
     def expect(self, n_requests: int) -> None:
         """Stop the simulation once ``n_requests`` terminate."""

@@ -75,7 +75,7 @@ class ShinjukuSystem(RpcSystem):
         request = self.central.popleft()
         self._dispatch_busy = True
         self._charge_scheduling(self.dispatch_ns)
-        self.sim.schedule(self.dispatch_ns, self._hand_off, worker, request)
+        self.sim.post(self.dispatch_ns, self._hand_off, worker, request)
 
     def _hand_off(self, worker: Core, request: Request) -> None:
         self._dispatch_busy = False

@@ -114,7 +114,7 @@ class JbsqSystem(RpcSystem):
             self.occupancy[target] += 1
             self._charge_scheduling(self.dispatch_ns)
             if self.dispatch_ns > 0:
-                self.sim.schedule(self.dispatch_ns, self._arrive_at_core, target, request)
+                self.sim.post(self.dispatch_ns, self._arrive_at_core, target, request)
             else:
                 self._arrive_at_core(target, request)
 
@@ -140,7 +140,7 @@ class JbsqSystem(RpcSystem):
             self.occupancy[target] += 1
             self._charge_scheduling(self.dispatch_ns)
             if self.dispatch_ns > 0:
-                self.sim.schedule(
+                self.sim.post(
                     self.dispatch_ns, self._arrive_at_core, target, member
                 )
             else:

@@ -126,7 +126,7 @@ class ZygosSystem(RssSystem):
         victim = self._draws.integers(0, n_cores)
         if victim == thief.core_id:
             victim = (victim + 1) % n_cores
-        self.sim.schedule(self.probe_ns, self._finish_probe, thief, victim, probes_left)
+        self.sim.post(self.probe_ns, self._finish_probe, thief, victim, probes_left)
 
     def _finish_probe(self, thief: Core, victim: int, probes_left: int) -> None:
         # A probing core is never started meanwhile (its idle bit is

@@ -3,8 +3,10 @@
 A :class:`Simulator` owns a binary-heap event queue and a monotonically
 advancing clock.  Everything in the reproduction -- NIC arrivals, core
 completions, NoC message deliveries, the Altocumulus runtime's periodic
-ticks -- is an :class:`Event` scheduled on one shared simulator, so causal
-ordering across subsystems falls out of the single clock.
+ticks -- is a callback scheduled on one shared simulator, so causal
+ordering across subsystems falls out of the single clock.  A callback is
+either *posted* (:meth:`Simulator.post`, fire-and-forget) or scheduled as
+an :class:`Event` (:meth:`Simulator.schedule`), whose handle can cancel it.
 
 Design notes
 ------------
@@ -27,18 +29,35 @@ The event kernel is the hottest code in the repository -- every simulated
 nanosecond flows through it -- so it trades a little uniformity for
 throughput:
 
-* **C-level heap ordering.**  Heap entries are ``(time, seq, event)``
-  tuples, not the :class:`Event` objects themselves, so ``heapq``'s C
-  implementation compares floats/ints directly and ``Event.__lt__`` is
-  never invoked on the hot path (it is retained for API compatibility).
-* **Event free list.**  After a callback returns, its Event object is
-  recycled onto a bounded free list *iff* no caller kept a handle to it
-  (checked via the CPython reference count, which is exact and
-  deterministic).  Handles that escape -- anything a caller might still
-  :meth:`Simulator.cancel` -- are never recycled, which preserves the
-  documented "cancel after fire is a no-op" contract verbatim.
-* **Timer reuse.**  Periodic machinery (manager runtime ticks, preemption
-  quanta) reschedules the *same* Event object via
+* **C-level heap ordering.**  Heap entries are ``(time, seq, fn, args)``
+  tuples, not :class:`Event` objects, so ``heapq``'s C implementation
+  compares floats/ints directly and ``Event.__lt__`` is never invoked on
+  the hot path (it is retained for API compatibility).  Sequence numbers
+  are unique, so the comparison never reaches ``fn``.
+* **Handle-free events.**  Most callbacks are never cancelled, so their
+  callers keep no handle: :meth:`Simulator.post` pushes
+  ``(time, seq, fn, args)`` and :meth:`Simulator.run` calls
+  ``fn(*args)`` with no :class:`Event` object, no ``fired``/``cancelled``
+  flags and no free-list check.  Only a caller that keeps a handle pays
+  for an Event: :meth:`Simulator.schedule` and the timer paths push
+  ``(time, seq, event, None)``, and ``args is None`` sends the entry down
+  the Event path.  Both kinds share one sequence counter, so they fire
+  in one ``(time, seq)`` order.
+* **Event free list.**  After an Event's callback returns, or when a
+  cancelled Event is reaped, the object is recycled onto a bounded free
+  list *iff* no caller kept a handle to it (checked via the CPython
+  reference count, which is exact and deterministic).  With every
+  fire-and-forget caller on :meth:`Simulator.post`, the list serves
+  cancelled handles their owners have let go (client timeouts) and
+  ``schedule`` calls that drop their handle.  Handles that escape --
+  anything a caller might still :meth:`Simulator.cancel` -- are never
+  recycled, which preserves the documented "cancel after fire is a
+  no-op" contract verbatim.  A recycled Event goes on the list with
+  both flags clear, so :meth:`Simulator.schedule` re-keys it without
+  resetting them; its old ``fn``/``args`` stay until then (at most
+  ``_FREE_LIST_MAX`` of them).
+* **Timer reuse.**  Periodic machinery (manager runtime ticks, periodic
+  timers, the control loop) reschedules the *same* Event object via
   :meth:`Simulator.schedule_timer` (or, from inside its own callback,
   :meth:`Simulator.rearm`) instead of allocating one per period.
 * **Parked timers off the heap.**  A periodic timer whose owner is idle
@@ -68,7 +87,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 #: Exact reference counting is a CPython detail; on other interpreters the
 #: free list simply never recycles (correct, just slower).
-_getrefcount = getattr(sys, "getrefcount", None)
+_getrefcount = getattr(sys, "getrefcount", lambda obj: 0)
 
 #: Upper bound on the event free list.  Steady-state simulations recycle
 #: through a handful of entries; the cap only matters after bursts.
@@ -118,8 +137,9 @@ class Event:
         return f"<Event t={self.time:.1f}ns #{self.seq} {name} {state}>"
 
 
-#: The heap entry layout: (time, seq, event).
-_Entry = Tuple[float, int, Event]
+#: The heap entry layout: ``(time, seq, fn, args)`` for a posted
+#: callback, ``(time, seq, event, None)`` for an :class:`Event`.
+_Entry = Tuple[float, int, Any, Optional[tuple]]
 
 
 class ParkedTimers:
@@ -210,8 +230,30 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` nanoseconds from now, with no
+        handle: the handle-free form of :meth:`schedule`, for callbacks
+        nobody cancels."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule with negative delay {delay}")
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now + delay, seq, fn, args))
+
+    def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` at an absolute simulation time, with no
+        handle (the handle-free form of :meth:`schedule_at`)."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time} (now = {self.now}); time is monotonic"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, fn, args))
+
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` nanoseconds from now."""
+        """Schedule ``fn(*args)`` to run ``delay`` nanoseconds from now
+        and return its :class:`Event`, the handle that can cancel it."""
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay}")
         time = self.now + delay
@@ -224,11 +266,9 @@ class Simulator:
             event.seq = seq
             event.fn = fn
             event.args = args
-            event.cancelled = False
-            event.fired = False
         else:
             event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event, None))
         return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -246,11 +286,9 @@ class Simulator:
             event.seq = seq
             event.fn = fn
             event.args = args
-            event.cancelled = False
-            event.fired = False
         else:
             event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event, None))
         return event
 
     def reserve_seq(self, count: int = 1) -> int:
@@ -277,10 +315,10 @@ class Simulator:
         """Schedule a periodic-tick callback, reusing ``event`` if possible.
 
         The dedicated path for self-rescheduling machinery (the manager
-        runtime's ``Period`` tick, preemption quanta): pass the Event
-        returned by the previous firing and, provided it has already
-        fired, the same object is re-armed and re-pushed instead of
-        allocating a new one.
+        runtime's ``Period`` tick, :class:`~repro.sim.timer.PeriodicTimer`):
+        pass the Event returned by the previous firing and, provided it
+        has already fired, the same object is re-armed and re-pushed
+        instead of allocating a new one.
 
         The returned Event must be owned exclusively by the calling
         timer: handing it to other code that might cancel a stale
@@ -301,7 +339,7 @@ class Simulator:
             event.fired = False
         else:
             event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event, None))
         return event
 
     def rearm(self, event: Event, delay: float) -> None:
@@ -319,7 +357,7 @@ class Simulator:
         event.time = time
         event.seq = seq
         event.fired = False
-        heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event, None))
 
     def resume(self, event: Event, time: float, seq: int) -> None:
         """Put ``event``, a timer whose next key ``(time, seq)`` a
@@ -330,7 +368,7 @@ class Simulator:
         event.time = time
         event.seq = seq
         event.fired = False
-        heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event, None))
 
     def add_parked(self, owner: "ParkedTimers") -> None:
         """Merge ``owner``'s parked keys into every later run."""
@@ -371,14 +409,18 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place.
+        """Drop cancelled entries and re-heapify, in place.  Posted
+        entries (``args`` not None) cannot be cancelled and all stay.
 
         In place matters: :meth:`run` binds the heap list to a local, so
         compaction (triggered by ``cancel`` inside a callback) must mutate
         the same list object rather than rebind ``self._heap``.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [
+            entry for entry in heap
+            if entry[3] is not None or not entry[2].cancelled
+        ]
         heapify(heap)
         self._dead = 0
 
@@ -432,6 +474,7 @@ class Simulator:
         # Local bindings for the hot loop.
         heap = self._heap
         free = self._free
+        free_max = _FREE_LIST_MAX
         pop = heappop
         getref = _getrefcount
         horizon = until if until is not None else _INF
@@ -447,19 +490,16 @@ class Simulator:
                         break
                     # No local keeps the entry tuple, for the recycle
                     # checks below; ``(time, seq)`` outlives the pop
-                    # because a timer re-keys its event in place.
-                    time, seq, event = heap[0]
-                    if event.cancelled:
+                    # because a timer re-keys its event in place.  On
+                    # the Event path (``args is None``) ``fn`` is the
+                    # Event.
+                    time, seq, fn, args = heap[0]
+                    if args is None and fn.cancelled:
                         pop(heap)
                         self._dead -= 1
-                        if (
-                            getref is not None
-                            and getref(event) == 2
-                            and len(free) < _FREE_LIST_MAX
-                        ):
-                            event.fn = None
-                            event.args = None
-                            free.append(event)
+                        if getref(fn) == 2 and len(free) < free_max:
+                            fn.cancelled = False  # free-list Events are clear
+                            free.append(fn)
                         continue
                     if time >= self._parked_time and (
                         time > self._parked_time or seq > self._parked_seq
@@ -482,20 +522,18 @@ class Simulator:
                     pop(heap)
                     self.now = time
                     self._events_processed += 1
-                    event.fired = True
-                    event.fn(*event.args)
                     executed += 1
+                    if args is not None:
+                        fn(*args)
+                        continue
+                    fn.fired = True
+                    fn.fn(*fn.args)
                     # Recycle iff nothing outside this frame holds the event
-                    # (2 == the `event` local + getrefcount's argument), i.e.
+                    # (2 == the `fn` local + getrefcount's argument), i.e.
                     # no one can ever cancel this incarnation.
-                    if (
-                        getref is not None
-                        and getref(event) == 2
-                        and len(free) < _FREE_LIST_MAX
-                    ):
-                        event.fn = None
-                        event.args = None
-                        free.append(event)
+                    if getref(fn) == 2 and len(free) < free_max:
+                        fn.fired = False
+                        free.append(fn)
                 else:
                     # Loop fell through: drained, but for parked keys up
                     # to the horizon.  Back to the heap if one resumed a

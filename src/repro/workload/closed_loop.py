@@ -74,7 +74,7 @@ class ClosedLoopGenerator:
         """Issue every client's first request (staggered by 1 ns so the
         initial burst is not one mega-batch)."""
         for client in range(self.n_clients):
-            self.sim.schedule(float(client), self._issue, client)
+            self.sim.post(float(client), self._issue, client)
 
     def _issue(self, client: int) -> None:
         if self._emitted >= self.n_requests:
@@ -104,7 +104,7 @@ class ClosedLoopGenerator:
             delay = float(self._think_rng.exponential(self.think_ns))
         else:
             delay = 0.0
-        self.sim.schedule(delay, self._issue, client)
+        self.sim.post(delay, self._issue, client)
 
     # ------------------------------------------------------------------
     @property

@@ -150,7 +150,7 @@ class LoadGenerator:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Schedule the first arrival.  Must be called before ``sim.run``."""
-        self.sim.schedule(self._next_gap(), self._emit)
+        self.sim.post(self._next_gap(), self._emit)
 
     def _emit_request(self) -> None:
         req = Request(
@@ -166,7 +166,7 @@ class LoadGenerator:
         self.requests.append(req)
         self.sink(req)
         if self._emitted < self.n_requests:
-            self.sim.schedule(self._next_gap(), self._emit)
+            self.sim.post(self._next_gap(), self._emit)
 
     def _emit_job(self) -> None:
         j = self._emitted
@@ -209,7 +209,7 @@ class LoadGenerator:
             self.sink(req)
         self._emitted += 1
         if self._emitted < self.n_requests:
-            self.sim.schedule(self._next_gap(), self._emit)
+            self.sim.post(self._next_gap(), self._emit)
 
     # ------------------------------------------------------------------
     def attach(self, system, client=None) -> None:

@@ -177,12 +177,13 @@ def _fingerprint(requests):
 
 
 def _probing_cores(sim, system):
-    """Cores with a pending probe event, read off the event heap."""
+    """Cores with a pending probe, read off the event heap: a probe is
+    a posted entry (``args`` not None) that calls ``_finish_probe`` with
+    the thief as its first argument."""
     return {
-        event.args[0].core_id
-        for _, _, event in sim._heap
-        if not event.cancelled and not event.fired
-        and event.fn == system._finish_probe
+        args[0].core_id
+        for _, _, fn, args in sim._heap
+        if args is not None and fn == system._finish_probe
     }
 
 

@@ -193,6 +193,23 @@ class TestEdgeCases:
         sim.cancel(first)
         assert later.cancelled is False
 
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_recycled_event_comes_back_pending(self, sim, cancel):
+        # A handle-less Event is recycled after it fires or, cancelled,
+        # when it is reaped; its reuse must start pending either way.
+        hits = []
+        event = sim.schedule(1.0, hits.append, "old")
+        if cancel:
+            sim.cancel(event)
+        del event
+        sim.run()
+        assert len(sim._free) == 1
+        reused = sim.schedule(1.0, hits.append, "new")
+        assert not reused.cancelled and not reused.fired
+        sim.run()
+        assert hits == ([] if cancel else ["old"]) + ["new"]
+        assert reused.fired
+
     def test_stop_inside_callback_skips_same_time_events(self, sim):
         hits = []
 
@@ -374,6 +391,125 @@ class TestPendingCounters:
         assert sim.pending_active == len(keep)
         sim.run()
         assert sim.events_processed == len(keep)
+
+
+class TestPostedEntries:
+    """Handle-free entries (``post``/``post_at``) share the Event
+    entries' sequence counter, counters and run-control contract."""
+
+    def test_post_and_schedule_at_equal_times_fire_in_seq_order(self, sim):
+        order = []
+        sim.post(5.0, order.append, 0)
+        sim.schedule(5.0, order.append, 1)
+        sim.post_at(5.0, order.append, 2)
+        sim.schedule_at(5.0, order.append, 3)
+        sim.post(5.0, order.append, 4)
+        sim.run()
+        assert order == [0, 1, 2, 3, 4]
+
+    def test_post_returns_no_handle(self, sim):
+        assert sim.post(1.0, lambda: None) is None
+        assert sim.post_at(2.0, lambda: None) is None
+
+    def test_post_passes_args(self, sim):
+        got = []
+        sim.post(1.0, lambda *a: got.append(a), 1, "x")
+        sim.post(2.0, lambda *a: got.append(a))
+        sim.run()
+        assert got == [(1, "x"), ()]
+
+    def test_post_negative_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.post(-1.0, lambda: None)
+        assert sim.pending == 0
+
+    def test_post_at_in_past_rejected(self, sim):
+        sim.post(10.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.post_at(5.0, lambda: None)
+        assert sim.pending == 0
+
+    def test_compaction_keeps_every_post_entry(self, sim):
+        from repro.sim.engine import _COMPACT_MIN_DEAD
+
+        fired = []
+        for i in range(10):
+            sim.post(2000.0 + i, fired.append, ("post", i))
+        keep = [sim.schedule(float(i + 1), fired.append, ("keep", i))
+                for i in range(4)]
+        doomed = [
+            sim.schedule(1000.0 + i, fired.append, ("doomed", i))
+            for i in range(2 * _COMPACT_MIN_DEAD)
+        ]
+        for ev in doomed:
+            sim.cancel(ev)
+        assert sim.pending < 10 + len(keep) + len(doomed)  # compacted
+        assert sum(entry[3] is not None for entry in sim._heap) == 10
+        assert sim.pending_active == 10 + len(keep)
+        sim.run()
+        assert fired == [("keep", i) for i in range(4)] + [
+            ("post", i) for i in range(10)]
+
+    def test_pending_counts_post_entries(self, sim):
+        sim.post(1.0, lambda: None)
+        sim.post_at(2.0, lambda: None)
+        ev = sim.schedule(3.0, lambda: None)
+        sim.schedule(4.0, lambda: None)
+        sim.cancel(ev)
+        assert sim.pending == 4
+        assert sim.pending_active == 3
+
+    def test_step_runs_post_entries(self, sim):
+        hits = []
+        sim.post(2.0, hits.append, "post")
+        sim.schedule(1.0, hits.append, "event")
+        assert sim.step() and hits == ["event"]
+        assert sim.step() and hits == ["event", "post"]
+        assert sim.now == 2.0 and sim.events_processed == 2
+        assert sim.pending == sim.pending_active == 0
+        assert not sim.step()
+
+    def test_max_events_counts_post_entries(self, sim):
+        hits = []
+        for i in range(3):
+            sim.post(float(i + 1), hits.append, i)
+        sim.run(until=10.0, max_events=2)
+        assert hits == [0, 1]
+        assert sim.now == 2.0 and sim.end_cut == (2.0, 1)
+        assert sim.pending == 1
+        sim.run(until=10.0)
+        assert hits == [0, 1, 2] and sim.now == 10.0
+        assert sim.end_cut == (10.0, INF)
+
+    def test_stop_inside_a_post_skips_same_time_entries(self, sim):
+        hits = []
+        sim.post(1.0, sim.stop)
+        sim.post(1.0, hits.append, "post")
+        sim.schedule(1.0, hits.append, "event")
+        sim.run(until=5.0)
+        assert hits == [] and sim.now == 1.0
+        assert sim.end_cut == (1.0, 0)
+        sim.run()
+        assert hits == ["post", "event"]
+        assert sim.end_cut == (INF, INF)
+
+    def test_posts_at_parked_key_times_fire_by_seq(self):
+        """Posts at a parked key's time fire on either side of it by
+        seq, exactly as heap-kept timer firings would order them."""
+        logs = []
+        for cls in (ToyParked, HeapOnly):
+            sim = Simulator()
+            timers = cls(sim, 10.0, 2, {})
+            timers.start("a", 10.0)
+            for at in (10.0, 20.0, 20.0, 35.0):
+                sim.post_at(at, lambda: timers.log.append(
+                    ("post", sim.now, sim.reserve_seq(0))))
+            sim.run(until=40.0)
+            logs.append((timers.log, _state(sim)))
+        assert logs[0] == logs[1]
+        assert [entry[0] for entry in logs[0][0]][:3] == [
+            "parked", "post", "post"]
 
 
 # ----------------------------------------------------------------------
@@ -652,8 +788,10 @@ _CONTROL = st.one_of(
 )
 
 
-def _scenario(parked, owners, events, controls):
-    """Run one scenario and record the state after every control."""
+def _scenario(parked, owners, events, controls, post=False):
+    """Run one scenario and record the state after every control;
+    ``post`` puts the toggles and stops on the heap as posted entries
+    instead of Events."""
     sim = Simulator()
     log = []
     groups = []
@@ -675,16 +813,17 @@ def _scenario(parked, owners, events, controls):
         log.append(("stop", sim.now, sim.reserve_seq(0)))
         sim.stop()
 
+    at = sim.post_at if post else sim.schedule_at
+    later = sim.post if post else sim.schedule
     for time, kind, owner, name in events:
         if kind == "stop":
-            sim.schedule_at(time, stop)
+            at(time, stop)
         elif kind == "toggle":
-            sim.schedule_at(time, toggle, owner, name, "toggle")
+            at(time, toggle, owner, name, "toggle")
         else:
             # A toggle scheduled at its own firing time: it takes the
             # next seq there, behind every key already pending then.
-            sim.schedule_at(time, sim.schedule, 0.0, toggle, owner, name,
-                            "toggle_now")
+            at(time, later, 0.0, toggle, owner, name, "toggle_now")
     states = []
     for kind, arg, budget in controls:
         if kind == "run":
@@ -708,5 +847,20 @@ def test_parked_keys_match_a_heap_only_timer(owners, events, controls):
     ``max_events`` leaves the same firings, seqs and engine state as
     the same timers kept on the heap."""
     assert _scenario(True, owners, events, controls) == _scenario(
+        False, owners, events, controls
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    owners=st.lists(_OWNER, min_size=1, max_size=2),
+    events=st.lists(_EVENT, max_size=12),
+    controls=st.lists(_CONTROL, min_size=1, max_size=5),
+)
+def test_parked_keys_merge_with_post_entries(owners, events, controls):
+    """The same scenarios with every toggle and stop posted (no Event
+    handles) fire in the same order and leave the same engine state as
+    heap-kept timers with Event toggles."""
+    assert _scenario(True, owners, events, controls, post=True) == _scenario(
         False, owners, events, controls
     )
