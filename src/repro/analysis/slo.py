@@ -5,8 +5,8 @@
   "violation" means *would have violated without intervention*: either
   it actually violated, or its no-migration counterfactual does.
 
-Throughput@SLO (Sec. II-A) is read off a load sweep by
-:func:`repro.experiments.common.throughput_at_slo`.
+Throughput@SLO (Sec. II-A) is read off a load sweep's point picked by
+:func:`repro.experiments.common.best_at_slo`.
 """
 
 from __future__ import annotations

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.prediction import erlang_c
-from repro.workload.service import (
-    Bimodal,
-    Exponential,
-    Fixed,
-    ServiceDistribution,
-)
+from repro.workload.service import Bimodal, Exponential, Fixed
 
 
 def mm1_mean_wait_ns(rho: float, mean_service_ns: float) -> float:
@@ -83,26 +78,11 @@ class ValidationPoint:
         )
 
 
-def _measure_wait(
-    k: int, rho: float, service: ServiceDistribution, n_requests: int,
-    seed: int,
-) -> float:
-    from repro.api import run_workload
-    from repro.schedulers.jbsq import ideal_cfcfs
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RandomStreams
-    from repro.workload.arrivals import PoissonArrivals
-
-    sim, streams = Simulator(), RandomStreams(seed)
-    system = ideal_cfcfs(sim, streams, k)
-    rate = rho * k / service.mean * 1e9
-    result = run_workload(
-        system, sim, streams, PoissonArrivals(rate), service,
-        n_requests=n_requests, warmup_fraction=0.2,
-    )
-    # Wait = latency - service - NIC delivery (30 ns hw-terminated).
+def _mean_wait_metrics(result) -> dict:
+    """Mean queueing wait of the measured requests: latency minus
+    service minus NIC delivery (30 ns hw-terminated)."""
     waits = [r.latency - r.service_time - 30.0 for r in result.requests]
-    return sum(waits) / len(waits)
+    return {"mean_wait_ns": sum(waits) / len(waits)}
 
 
 def validate_simulator(n_requests: int = 120_000,
@@ -110,7 +90,10 @@ def validate_simulator(n_requests: int = 120_000,
     """Run the canonical queueing configurations and compare.
 
     Returns one :class:`ValidationPoint` per model; relative errors of
-    a healthy simulator sit well under 10% at this sample size.
+    a healthy simulator sit well under 10% at this sample size.  Each
+    case is one :class:`~repro.runner.PointSpec` dispatched through
+    :func:`~repro.runner.run_points`, so it obeys ``--jobs`` and the
+    result cache like every other sweep.
     """
     service_ns = 1_000.0
     bimodal = Bimodal(500.0, 5_500.0, 0.1)
@@ -126,11 +109,29 @@ def validate_simulator(n_requests: int = 120_000,
         ("M/M/64", 64, 0.9, Exponential(service_ns),
          mmk_mean_wait_ns(64, 0.9, service_ns)),
     ]
-    points: List[ValidationPoint] = []
-    for name, k, rho, service, predicted in cases:
-        measured = _measure_wait(k, rho, service, n_requests, seed)
-        points.append(ValidationPoint(
-            model=name, k=k, rho=rho,
-            predicted_wait_ns=predicted, measured_wait_ns=measured,
-        ))
-    return points
+    # Imported here: ``import repro.api`` loads this module (through
+    # ``repro.analysis``) and must not load the runner.
+    from repro.runner import PointSpec, ref, run_points
+    from repro.schedulers.jbsq import ideal_cfcfs
+
+    specs = [
+        PointSpec(
+            builder=ref(ideal_cfcfs, n_cores=k),
+            service=service,
+            rate_rps=rho * k / service.mean * 1e9,
+            n_requests=n_requests,
+            seed=seed,
+            metrics=ref(_mean_wait_metrics),
+            warmup_fraction=0.2,
+            tag=name,
+        )
+        for name, k, rho, service, _predicted in cases
+    ]
+    return [
+        ValidationPoint(
+            model=name, k=k, rho=rho, predicted_wait_ns=predicted,
+            measured_wait_ns=result.metrics["mean_wait_ns"],
+        )
+        for (name, k, rho, _service, predicted), result
+        in zip(cases, run_points(specs, label="validation"))
+    ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.tables import format_table
-from repro.runner import PointSpec, maybe_ref, ref, run_points
+from repro.runner import PointResult, PointSpec, maybe_ref, ref, run_points
 from repro.schedulers.base import RpcSystem
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -104,17 +104,6 @@ class ExperimentResult:
 SystemBuilder = Callable[[Simulator, RandomStreams], RpcSystem]
 
 
-@dataclass
-class SweepPoint:
-    """One (offered load, tail latency) sample of a latency-throughput curve."""
-
-    rate_rps: float
-    p99_ns: float
-    mean_ns: float
-    throughput_rps: float
-    violation_ratio: float
-
-
 def latency_throughput_curve(
     builder: SystemBuilder,
     rates_rps: Sequence[float],
@@ -125,7 +114,7 @@ def latency_throughput_curve(
     arrival_factory: Optional[Callable[[float], ArrivalProcess]] = None,
     connections: Optional[Callable[[], ConnectionPool]] = None,
     label: str = "sweep",
-) -> List[SweepPoint]:
+) -> List[PointResult]:
     """Sweep offered rates and collect the tail-latency curve.
 
     ``arrival_factory`` defaults to Poisson; pass e.g.
@@ -152,25 +141,20 @@ def latency_throughput_curve(
         )
         for rate in rates_rps
     ]
-    return [
-        SweepPoint(
-            rate_rps=result.rate_rps,
-            p99_ns=result.p99_ns,
-            mean_ns=result.mean_ns,
-            throughput_rps=result.throughput_rps,
-            violation_ratio=result.violation_ratio or 0.0,
-        )
-        for result in run_points(specs, label=label)
-    ]
+    return run_points(specs, label=label)
 
 
-def throughput_at_slo(points: Sequence[SweepPoint], slo_ns: float) -> float:
-    """Largest swept rate whose p99 met the SLO (0.0 if none did)."""
-    best = 0.0
-    for point in points:
-        if point.p99_ns <= slo_ns and point.rate_rps > best:
-            best = point.rate_rps
-    return best
+def best_at_slo(
+    points: Sequence[PointResult], slo_ns: float
+) -> Optional[PointResult]:
+    """The throughput@SLO point: the largest-rate point whose p99 met
+    the SLO, or ``None`` if none did.
+
+    A point that measured nothing has ``p99_ns == inf`` and so never
+    meets an SLO.
+    """
+    passing = [p for p in points if p.p99_ns <= slo_ns]
+    return max(passing, key=lambda p: p.rate_rps, default=None)
 
 
 def scaled(n: int, scale: float, minimum: int = 2_000) -> int:

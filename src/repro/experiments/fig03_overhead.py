@@ -13,9 +13,7 @@ overhead charged as per-request startup on the assigned core.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import ExperimentResult, best_at_slo, scaled
 from repro.runner import PointSpec, ref, run_points
 from repro.schedulers.jbsq import ideal_cfcfs
 from repro.workload.service import Fixed
@@ -49,14 +47,17 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
         for overhead, load in grid
     ]
     results = run_points(specs, label="fig03")
-    rows: List[List[object]] = []
+    rows = [
+        [overhead, load, result.latency.p99 / 1000.0]
+        for (overhead, load), result in zip(grid, results)
+    ]
     tput_at_slo = {}
-    for (overhead, load), result in zip(grid, results):
-        p99 = result.latency.p99
-        rows.append([overhead, load, p99 / 1000.0])
-        best = tput_at_slo.setdefault(overhead, 0.0)
-        if p99 <= SLO_P99_NS and load > best:
-            tput_at_slo[overhead] = load
+    for i, overhead in enumerate(OVERHEADS_NS):
+        curve = results[i * len(LOADS):(i + 1) * len(LOADS)]
+        best = best_at_slo(curve, SLO_P99_NS)
+        tput_at_slo[overhead] = (
+            LOADS[curve.index(best)] if best is not None else 0.0
+        )
     ratio = (
         tput_at_slo[OVERHEADS_NS[0]] / tput_at_slo[OVERHEADS_NS[-1]]
         if tput_at_slo[OVERHEADS_NS[-1]] > 0

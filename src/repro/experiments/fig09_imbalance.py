@@ -16,13 +16,10 @@ from typing import List, Tuple
 from repro.core.config import AltocumulusConfig
 from repro.core.scheduler import AltocumulusSystem
 from repro.experiments.common import ExperimentResult, scaled
-from repro.runner import TaskSpec, ref, run_points
-from repro.workload.arrivals import MMPPArrivals
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
+from repro.runner import PointSpec, ref, run_points
 from repro.sim.timer import PeriodicTimer
+from repro.workload.arrivals import MMPPArrivals
 from repro.workload.connections import ConnectionPool
-from repro.workload.generator import LoadGenerator
 from repro.workload.service import Exponential
 
 N_GROUPS = 4
@@ -30,94 +27,94 @@ GROUP_SIZE = 64
 SERVICE_NS = 1_000.0
 LOAD = 0.95
 L = 10.0
+SLO_NS = L * SERVICE_NS
 SAMPLE_EVERY_NS = 500.0
 POLICIES = ["connection", "random", "round_robin"]
 
 
-def _run_policy(
-    policy: str, n_requests: int, seed: int
-) -> Tuple[List[int], float]:
-    """Return (queue snapshot at 10th violation, snapshot time ns)."""
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    config = AltocumulusConfig(
+def _config(policy: str) -> AltocumulusConfig:
+    return AltocumulusConfig(
         n_groups=N_GROUPS,
         group_size=GROUP_SIZE,
         runtime_enabled=False,  # pure d-FCFS across queues: no migrations
         steering_policy=policy,
         variant="int",
     )
-    system = AltocumulusSystem(sim, streams, config)
-    service = Exponential(SERVICE_NS)
-    workers = config.n_workers
-    rate = LOAD * workers / SERVICE_NS * 1e9
-    # Few hot connections make the connection policy visibly skewed.
-    connections = ConnectionPool.skewed(32, zipf_s=1.1)
+
+
+def _sampled_builder(sim, streams, policy: str) -> AltocumulusSystem:
+    """The 4x64 system with a sampler recording ``(time, NetRX
+    lengths)`` every 500 ns into ``system.netrx_samples``."""
+    system = AltocumulusSystem(sim, streams, _config(policy))
+    samples: List[Tuple[float, List[int]]] = []
+    system.netrx_samples = samples
+    PeriodicTimer(
+        sim,
+        SAMPLE_EVERY_NS,
+        lambda: samples.append((sim.now, system.netrx_lengths())),
+    )
+    return system
+
+
+def _arrivals(rate_rps: float) -> MMPPArrivals:
     # Gentler bursts than the default real-world profile: at 1 us mean
     # service a 3x burst floods thousands of requests deep, whereas the
     # figure studies the moderate-imbalance regime.
-    arrivals = MMPPArrivals(
-        rate,
+    return MMPPArrivals(
+        rate_rps,
         burst_factor=2.0,
         calm_fraction=0.75,
         mean_dwell_ns=10_000.0,
         batch_mean=3.0,
     )
-    generator = LoadGenerator(
-        sim,
-        streams,
-        arrivals,
-        service,
-        sink=system.offer,
-        n_requests=n_requests,
-        connections=connections,
-    )
-    samples: List[Tuple[float, List[int]]] = []
-    sampler = PeriodicTimer(
-        sim,
-        SAMPLE_EVERY_NS,
-        lambda: samples.append((sim.now, system.netrx_lengths())),
-    )
-    system.expect(n_requests)
-    generator.start()
-    sim.run(until=10**15)
-    sampler.stop()
-    system.shutdown()
 
-    slo_ns = L * SERVICE_NS
+
+def _snapshot_metrics(result) -> dict:
+    """The NetRX snapshot at the 10th SLO violation, and its time (ns)."""
+    system = result.system
+    samples = system.netrx_samples
     violation_times = sorted(
-        r.arrival + slo_ns
-        for r in generator.requests
-        if r.completed and r.latency > slo_ns
+        r.arrival + SLO_NS for r in result.requests if r.latency > SLO_NS
     )
     if len(violation_times) < 10 or not samples:
-        return system.netrx_lengths(), sim.now
+        return {"snapshot": system.netrx_lengths(),
+                "when": result.sim_time_ns}
     t10 = violation_times[9]
-    snapshot = samples[0][1]
-    when = samples[0][0]
+    when, snapshot = samples[0]
     for t, lengths in samples:
         if t > t10:
             break
         snapshot, when = lengths, t
-    return snapshot, when
+    return {"snapshot": snapshot, "when": when}
 
 
 def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     """Regenerate Fig. 9 (NetRX imbalance snapshots)."""
     n_requests = scaled(150_000, scale)
+    rate = LOAD * _config(POLICIES[0]).n_workers / SERVICE_NS * 1e9
     rows: List[List[object]] = []
     specs = [
-        TaskSpec(
-            fn=ref(_run_policy, policy=policy, n_requests=n_requests,
-                   seed=seed),
+        PointSpec(
+            builder=ref(_sampled_builder, policy=policy),
+            service=Exponential(SERVICE_NS),
+            rate_rps=rate,
+            n_requests=n_requests,
+            seed=seed,
+            arrivals=ref(_arrivals),
+            # Few hot connections make the connection policy visibly skewed.
+            connections=ref(ConnectionPool.skewed, n_connections=32,
+                            zipf_s=1.1),
+            metrics=ref(_snapshot_metrics),
+            warmup_fraction=0.0,
             tag=policy,
         )
         for policy in POLICIES
     ]
     for policy, result in zip(POLICIES, run_points(specs, label="fig09")):
-        snapshot, when = result.value
+        snapshot = result.metrics["snapshot"]
         spread = max(snapshot) - min(snapshot)
-        rows.append([policy] + list(snapshot) + [spread, when / 1000.0])
+        rows.append([policy] + list(snapshot)
+                    + [spread, result.metrics["when"] / 1000.0])
     return ExperimentResult(
         exp_id="fig09",
         title="NetRX queue lengths at the 10th SLO violation (4x64 cores)",

@@ -20,12 +20,7 @@ from typing import Dict, List
 
 from repro.core.config import AltocumulusConfig
 from repro.core.scheduler import AltocumulusSystem
-from repro.experiments.common import (
-    ExperimentResult,
-    SweepPoint,
-    scaled,
-    throughput_at_slo,
-)
+from repro.experiments.common import ExperimentResult, best_at_slo, scaled
 from repro.hw.nic import PcieDelivery
 from repro.runner import PointSpec, ref, run_points
 from repro.schedulers.centralized import ShinjukuSystem
@@ -124,18 +119,9 @@ def run(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     at_slo: Dict[str, float] = {}
     curves: Dict[str, list] = {}
     for name in _SYSTEMS:
-        points = [
-            SweepPoint(
-                rate_rps=r.rate_rps,
-                p99_ns=r.p99_ns,
-                mean_ns=r.mean_ns,
-                throughput_rps=r.throughput_rps,
-                violation_ratio=r.violation_ratio or 0.0,
-            )
-            for r in results
-            if r.tag == name
-        ]
-        at_slo[name] = throughput_at_slo(points, SLO_NS) / 1e6
+        points = [r for r in results if r.tag == name]
+        best = best_at_slo(points, SLO_NS)
+        at_slo[name] = best.rate_rps / 1e6 if best is not None else 0.0
         curves[name] = [
             (p.rate_rps / 1e6, max(p.p99_ns / 1000.0, 0.1)) for p in points
         ]

@@ -22,10 +22,10 @@ from repro.core.config import AltocumulusConfig
 from repro.core.scheduler import AltocumulusSystem
 from repro.experiments.common import (
     ExperimentResult,
-    latency_throughput_curve,
+    best_at_slo,
     gentle_bursts,
+    latency_throughput_curve,
     scaled,
-    throughput_at_slo,
 )
 from repro.runner import PointSpec, ref, run_points
 from repro.workload.connections import ConnectionPool
@@ -71,13 +71,13 @@ def _group_size_rows(n_requests: int, seed: int) -> List[List[object]]:
                 builder, rates, SERVICE, n_requests=n_requests, slo_ns=SLO_NS,
                 seed=seed, label=f"fig12:{variant}:{n_groups}x{group_size}",
             )
-            best = throughput_at_slo(points, SLO_NS)
+            best = best_at_slo(points, SLO_NS)
             rows.append(
                 [
                     "group_size",
                     f"ac_{variant}",
                     f"{n_groups}x{group_size}",
-                    best / 1e6,
+                    best.rate_rps / 1e6 if best is not None else 0.0,
                     min(p.p99_ns for p in points) / 1000.0,
                 ]
             )

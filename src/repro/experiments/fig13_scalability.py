@@ -31,6 +31,7 @@ from repro.core.config import AltocumulusConfig
 from repro.core.scheduler import AltocumulusSystem
 from repro.experiments.common import (
     ExperimentResult,
+    best_at_slo,
     real_world_arrivals,
     scaled,
 )
@@ -226,17 +227,6 @@ def _sweep_spec(
     )
 
 
-def _best_at_slo(fractions_and_points) -> Tuple[float, object]:
-    """(best rate, accuracy at best point) across one system's sweep."""
-    best = 0.0
-    accuracy = None
-    for rate, point in fractions_and_points:
-        if point.latency.p99 <= SLO_NS and rate > best:
-            best = rate
-            accuracy = point.metrics.get("accuracy")
-    return best, accuracy
-
-
 def _panels_ab(n_requests: int, seed: int) -> List[List[object]]:
     # (panel, pattern, n_cores, name) per sweep; each sweeps RATE_FRACTIONS.
     sweeps: List[Tuple[str, str, int, str, Dict[str, object]]] = []
@@ -263,16 +253,12 @@ def _panels_ab(n_requests: int, seed: int) -> List[List[object]]:
     results = run_points(specs, label="fig13ab")
 
     rows: List[List[object]] = []
-    cursor = 0
-    for panel, pattern, n_cores, name, _syskw in sweeps:
-        capacity = n_cores / SERVICE_NS * 1e9
-        chunk = results[cursor:cursor + len(RATE_FRACTIONS)]
-        cursor += len(RATE_FRACTIONS)
-        best, accuracy = _best_at_slo(
-            (fraction * capacity, point)
-            for fraction, point in zip(RATE_FRACTIONS, chunk)
-        )
-        rows.append([panel, pattern, n_cores, name, best / 1e6,
+    for i, (panel, pattern, n_cores, name, _syskw) in enumerate(sweeps):
+        chunk = results[i * len(RATE_FRACTIONS):(i + 1) * len(RATE_FRACTIONS)]
+        best = best_at_slo(chunk, SLO_NS)
+        accuracy = best.metrics.get("accuracy") if best is not None else None
+        rows.append([panel, pattern, n_cores, name,
+                     best.rate_rps / 1e6 if best is not None else 0.0,
                      accuracy if accuracy is not None else ""])
     return rows
 

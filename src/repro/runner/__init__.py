@@ -2,12 +2,18 @@
 
 Every evaluation artifact in this repository is an embarrassingly
 parallel sweep -- offered rates x seeds x system variants.  This package
-turns those sweeps into data (one :class:`PointSpec` per run),
-fans them out over a process pool (:class:`SweepRunner`), and memoizes
-each point on disk under a stable content hash (:class:`ResultCache`),
-so re-runs are instant, crashes resume, and ``--jobs N`` scales the
-wall clock down with core count while staying bit-identical to serial
-execution.
+turns those sweeps into data, fans them out over a process pool
+(:class:`SweepRunner`), and memoizes each point on disk under a stable
+content hash (:class:`ResultCache`), so re-runs are instant, crashes
+resume, and ``--jobs N`` scales the wall clock down with core count
+while staying bit-identical to serial execution.
+
+There is one path for every simulated point of every experiment: a
+:class:`PointSpec` goes through :func:`run_points` to
+:func:`execute_point`, which drives :func:`repro.api.run_workload` and
+returns a :class:`PointResult`.  Studies that measure something beyond
+the latency summary (queue snapshots, mean waits, migration
+breakdowns) do it in the spec's ``metrics`` hook, in the worker.
 
 Typical use (the experiments layer)::
 
@@ -35,12 +41,7 @@ from repro.runner.context import (
     get_config,
     overrides,
 )
-from repro.runner.executor import (
-    PointResult,
-    TaskResult,
-    execute_point,
-    execute_spec,
-)
+from repro.runner.executor import PointResult, execute_point
 from repro.runner.progress import ProgressPrinter, SweepProgress
 from repro.runner.runner import (
     SweepRunner,
@@ -51,7 +52,6 @@ from repro.runner.spec import (
     CallableRef,
     PointSpec,
     SpecError,
-    TaskSpec,
     fingerprint,
     maybe_ref,
     ref,
@@ -69,13 +69,10 @@ __all__ = [
     "SweepProgress",
     "SweepRunner",
     "SweepStats",
-    "TaskResult",
-    "TaskSpec",
     "configure",
     "default_cache_dir",
     "detect_jobs",
     "execute_point",
-    "execute_spec",
     "fingerprint",
     "get_config",
     "maybe_ref",

@@ -11,11 +11,11 @@ boundary -- experiments that need per-request statistics attach a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.analysis.metrics import LatencySummary
 from repro.api import run_workload
-from repro.runner.spec import CallableRef, PointSpec, TaskSpec
+from repro.runner.spec import CallableRef, PointSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.arrivals import PoissonArrivals
@@ -55,24 +55,6 @@ class PointResult:
     @property
     def mean_ns(self) -> float:
         return self.latency.mean
-
-
-@dataclass
-class TaskResult:
-    """The picklable outcome of one executed :class:`TaskSpec`."""
-
-    tag: str
-    value: Any
-    cache_hit: bool = False
-
-
-def execute_spec(
-    spec: Union[PointSpec, TaskSpec]
-) -> "Union[PointResult, TaskResult]":
-    """Execute either spec flavor (the pool worker entry point)."""
-    if isinstance(spec, TaskSpec):
-        return TaskResult(tag=spec.tag, value=spec.fn.resolve()())
-    return execute_point(spec)
 
 
 def execute_point(spec: PointSpec) -> PointResult:

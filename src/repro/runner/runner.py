@@ -18,21 +18,17 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.runner.cache import ResultCache
 from repro.runner.context import RunnerConfig, get_config
-from repro.runner.executor import PointResult, TaskResult, execute_spec
+from repro.runner.executor import PointResult, execute_point
 from repro.runner.progress import ProgressPrinter, SweepProgress
-from repro.runner.spec import PointSpec, TaskSpec, fingerprint
+from repro.runner.spec import PointSpec, fingerprint
 
 #: Cap on in-flight submissions per worker; bounds parent-side memory
 #: for huge sweeps without ever starving the pool.
 _BACKLOG_PER_WORKER = 4
-
-#: Either spec flavor is accepted everywhere; results mirror the flavor.
-SpecT = Union[PointSpec, TaskSpec]
-ResultT = Union[PointResult, TaskResult]
 
 
 @dataclass
@@ -69,10 +65,10 @@ class SweepRunner:
         self.last_stats = SweepStats()
 
     # ------------------------------------------------------------------
-    def run(self, specs: Sequence[SpecT]) -> List[ResultT]:
+    def run(self, specs: Sequence[PointSpec]) -> List[PointResult]:
         """Execute ``specs``; results are returned in submission order."""
         started = time.monotonic()
-        results: List[Optional[ResultT]] = [None] * len(specs)
+        results: List[Optional[PointResult]] = [None] * len(specs)
         keys: List[Optional[str]] = [None] * len(specs)
         misses: List[int] = []
         hits = 0
@@ -119,9 +115,9 @@ class SweepRunner:
     # ------------------------------------------------------------------
     def _run_pool(
         self,
-        specs: Sequence[SpecT],
+        specs: Sequence[PointSpec],
         misses: List[int],
-        results: List[Optional[ResultT]],
+        results: List[Optional[PointResult]],
         keys: List[Optional[str]],
         done: int,
         hits: int,
@@ -140,7 +136,7 @@ class SweepRunner:
                     except StopIteration:
                         exhausted = True
                         break
-                    pending[pool.submit(execute_spec, specs[index])] = index
+                    pending[pool.submit(execute_point, specs[index])] = index
                 if not pending:
                     break
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -156,9 +152,9 @@ class SweepRunner:
         return done
 
     def _execute_and_store(
-        self, spec: SpecT, key: Optional[str]
-    ) -> ResultT:
-        result = execute_spec(spec)
+        self, spec: PointSpec, key: Optional[str]
+    ) -> PointResult:
+        result = execute_point(spec)
         if self.cache is not None and key is not None:
             self.cache.put(key, result)
         return result
@@ -186,37 +182,34 @@ _POINT_DEFAULTS = {
 }
 
 
-def _stamp_defaults(specs: Sequence[SpecT],
-                    defaults: Dict[str, Any]) -> List[SpecT]:
-    """Apply ``defaults`` to every point spec field still at its declared
-    default; explicit values win, task specs pass through."""
-    stamped: List[SpecT] = []
+def _stamp_defaults(specs: Sequence[PointSpec],
+                    defaults: Dict[str, Any]) -> List[PointSpec]:
+    """Apply ``defaults`` to every spec field still at its declared
+    default; explicit values win."""
+    stamped: List[PointSpec] = []
     for spec in specs:
-        if isinstance(spec, PointSpec):
-            unset = {name: value for name, value in defaults.items()
-                     if getattr(spec, name) == _POINT_DEFAULTS[name]}
-            if unset:
-                spec = replace(spec, **unset)
-        stamped.append(spec)
+        unset = {name: value for name, value in defaults.items()
+                 if getattr(spec, name) == _POINT_DEFAULTS[name]}
+        stamped.append(replace(spec, **unset) if unset else spec)
     return stamped
 
 
 def run_points(
-    specs: Sequence[SpecT],
+    specs: Sequence[PointSpec],
     label: str = "sweep",
     config: Optional[RunnerConfig] = None,
-) -> List[ResultT]:
+) -> List[PointResult]:
     """Run specs under the process-wide runner configuration.
 
-    This is the experiments layer's entry point: serial and cache-less
-    by default (bit-identical to the historical inline loops), parallel
-    and cached when the CLI or benchmark harness configured it so.
+    This is the experiments layer's one entry point: every simulated
+    point of every experiment is a :class:`PointSpec` run here.  Serial
+    and cache-less by default, parallel and cached when the CLI or
+    benchmark harness configured it so.
 
     The configuration's ``spec_defaults`` (the CLI's ``--faults`` and
-    ``--controller``) are stamped onto every point spec whose field
-    still has its declared default, before hashing: the stamped value
-    is part of the spec, so it reaches worker processes and keys the
-    cache.
+    ``--controller``) are stamped onto every spec whose field still has
+    its declared default, before hashing: the stamped value is part of
+    the spec, so it reaches worker processes and keys the cache.
     """
     cfg = config if config is not None else get_config()
     if cfg.spec_defaults:

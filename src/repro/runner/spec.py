@@ -193,22 +193,6 @@ class PointSpec:
     tag: str = ""
 
 
-@dataclass
-class TaskSpec:
-    """An arbitrary unit of cacheable parallel work: a module-level
-    callable plus kwargs, executed as ``fn()`` in a worker.
-
-    The escape hatch for experiments whose measurement loop does not fit
-    the build-system/run-workload shape of :class:`PointSpec` (e.g. the
-    Fig. 9 queue-snapshot study).  The return value must be picklable;
-    determinism is the callee's responsibility (derive all randomness
-    from an explicit seed argument).
-    """
-
-    fn: CallableRef
-    tag: str = ""
-
-
 # ----------------------------------------------------------------------
 # Content hashing
 # ----------------------------------------------------------------------

@@ -5,12 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import (
-    ExperimentResult,
-    SweepPoint,
-    scaled,
-    throughput_at_slo,
-)
+from repro.analysis.metrics import LatencySummary
+from repro.experiments.common import ExperimentResult, best_at_slo, scaled
 from repro.experiments.registry import (
     EXPERIMENTS,
     ExperimentInfo,
@@ -152,14 +148,37 @@ class TestHelpers:
         with pytest.raises(ValueError):
             scaled(10_000, 0.0)
 
+    @staticmethod
+    def _point(rate_rps, latency):
+        from repro.runner import PointResult
+
+        return PointResult(tag="", rate_rps=rate_rps, offered_rps=rate_rps,
+                           latency=latency, throughput_rps=rate_rps,
+                           sim_time_ns=1e6, utilization=0.5, dropped=0)
+
+    @staticmethod
+    def _measured(p99_ns):
+        return LatencySummary(100, p99_ns / 2, p99_ns / 2, p99_ns, p99_ns,
+                              p99_ns, p99_ns)
+
     def test_throughput_at_slo_picks_largest_passing(self):
         points = [
-            SweepPoint(1e6, 100.0, 50.0, 1e6, 0.0),
-            SweepPoint(2e6, 200.0, 60.0, 2e6, 0.0),
-            SweepPoint(3e6, 9_999.0, 70.0, 3e6, 0.5),
+            self._point(1e6, self._measured(100.0)),
+            self._point(2e6, self._measured(200.0)),
+            self._point(3e6, self._measured(9_999.0)),
         ]
-        assert throughput_at_slo(points, 1_000.0) == 2e6
-        assert throughput_at_slo(points, 1.0) == 0.0
+        assert best_at_slo(points, 1_000.0).rate_rps == 2e6
+        assert best_at_slo(points, 1.0) is None
+
+    def test_throughput_at_slo_never_picks_an_empty_point(self):
+        # A point that measured nothing reports p99 == 0.0 in its
+        # summary; it must not count as meeting the SLO.
+        points = [
+            self._point(1e6, self._measured(100.0)),
+            self._point(4e6, LatencySummary.empty()),
+        ]
+        assert best_at_slo(points, 1_000.0).rate_rps == 1e6
+        assert best_at_slo(points[1:], 1_000.0) is None
 
 
 class TestCli:
@@ -242,20 +261,25 @@ class TestCliTelemetry:
         assert "--trace-sample" in capsys.readouterr().err
 
 
+def _cli_table(capsys, exp_id, *argv):
+    """Run ``exp_id`` at scale 0.05 through the CLI; return its table
+    (timing line removed) and the last ``completed in`` summary."""
+    from repro.experiments.cli import main
+
+    assert main([exp_id, "--scale", "0.05", "--no-progress", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    completed = [line for line in lines if " completed in " in line]
+    table = [line for line in lines if " completed in " not in line]
+    return "\n".join(table), completed[-1]
+
+
 class TestCliFaultPlan:
     """``--faults`` stamps the plan into every spec, so a faulted sweep
     runs in parallel and caches like any other."""
 
     @staticmethod
     def _table(capsys, *argv):
-        from repro.experiments.cli import main
-
-        assert main(["datacenter", "--scale", "0.05", "--no-progress",
-                     *argv]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        completed = [line for line in lines if " completed in " in line]
-        table = [line for line in lines if " completed in " not in line]
-        return "\n".join(table), completed[-1]
+        return _cli_table(capsys, "datacenter", *argv)
 
     def test_plan_reaches_parallel_and_cached_runs(self, tmp_path, capsys):
         from repro.faults import FaultEvent, FaultPlan, RetryPolicy
@@ -278,6 +302,24 @@ class TestCliFaultPlan:
         cached, summary = self._table(capsys, "--jobs", "2", "--cache-dir",
                                       cache, "--faults", str(path))
         assert serial != clean  # the crash shows in the table
+        assert parallel == serial
+        assert cached == serial
+        assert "0 executed" in summary
+
+
+class TestCliPointSpecStudies:
+    """fig09 and validation run through the sweep runner like every
+    other experiment: parallel and cached runs render the serial table."""
+
+    @pytest.mark.parametrize("exp_id", ["fig09", "validation"])
+    def test_parallel_and_cached_match_serial(self, exp_id, tmp_path,
+                                              capsys):
+        cache = str(tmp_path / "cache")
+        serial, _ = _cli_table(capsys, exp_id, "--jobs", "1", "--no-cache")
+        parallel, _ = _cli_table(capsys, exp_id, "--jobs", "2",
+                                 "--cache-dir", cache)
+        cached, summary = _cli_table(capsys, exp_id, "--jobs", "2",
+                                     "--cache-dir", cache)
         assert parallel == serial
         assert cached == serial
         assert "0 executed" in summary

@@ -46,9 +46,8 @@ def test_version_matches_pyproject():
     assert f'version = "{repro.__version__}"' in content
 
 
-def test_import_api_leaves_scipy_out():
-    """scipy is not a dependency: a fresh ``import repro.api`` never
-    loads it."""
+def _loaded_by_fresh_api_import(module: str) -> bool:
+    """Whether a fresh interpreter's ``import repro.api`` loads ``module``."""
     import os
     import subprocess
     import sys
@@ -60,7 +59,19 @@ def test_import_api_leaves_scipy_out():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    code = "import sys, repro.api; print('scipy' in sys.modules)"
+    code = f"import sys, repro.api; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_import_api_leaves_scipy_out():
+    """scipy is not a dependency: a fresh ``import repro.api`` never
+    loads it."""
+    assert not _loaded_by_fresh_api_import("scipy")
+
+
+def test_import_api_leaves_runner_out():
+    """The sweep runner is an experiments-layer dependency: a fresh
+    ``import repro.api`` never loads ``repro.runner``."""
+    assert not _loaded_by_fresh_api_import("repro.runner")

@@ -18,7 +18,6 @@ from repro.runner import (
     SpecError,
     SweepProgress,
     SweepRunner,
-    TaskSpec,
     execute_point,
     fingerprint,
     get_config,
@@ -179,7 +178,8 @@ class TestFingerprint:
         assert len(set(prints)) == len(prints)
 
     def test_numpy_scalars_and_arrays_hash_stably(self):
-        spec = TaskSpec(fn=ref(_answer, x=int(np.int64(4))))
+        spec = PointSpec(builder=ref(_builder, n_cores=np.int64(4)),
+                         service=Fixed(500.0), rate_rps=2e6, n_requests=600)
         assert fingerprint(spec) == fingerprint(spec)
         arr = np.arange(6, dtype=np.float64)
         assert fingerprint({"a": arr}) == fingerprint({"a": arr.copy()})
@@ -240,13 +240,6 @@ class TestExecution:
         b = execute_point(_point())
         assert a.latency.p99 == b.latency.p99
         assert a.throughput_rps == b.throughput_rps
-
-    def test_task_spec_executes_fn(self):
-        results = SweepRunner(jobs=1).run(
-            [TaskSpec(fn=ref(_answer, x=5), tag="task")]
-        )
-        assert results[0].value == 10
-        assert results[0].tag == "task"
 
     def test_parallel_matches_serial_bit_for_bit(self):
         specs = [_point(rate=r, n_requests=500) for r in (1e6, 2e6, 4e6, 6e6)]
